@@ -9,7 +9,7 @@ VETTOOL := bin/biscuitvet
 # dangerous kind.
 TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/...
 
-.PHONY: all build test race racefault vet vet-fix fmt check faulttest faultbench healtest healbench benchsmoke benchgate bless-bench servebench tracesmoke telemetrysmoke clean
+.PHONY: all build test race racefault vet vet-fix fmt check faulttest faultbench healtest healbench benchsmoke benchgate bless-bench servebench tracesmoke telemetrysmoke perfbenchtest clean
 
 all: build
 
@@ -155,14 +155,26 @@ telemetrysmoke:
 	$(GO) run ./cmd/tracestat trace-out/q6.telemetry.json > /dev/null
 	$(GO) run ./cmd/tracestat -crit -nth -1 trace-out/q6.telemetry.json
 
+# perfbench/ is its own Go module (replace biscuit => ../), so neither
+# `go build ./...` nor `go test ./...` at the root compiles it. Vet and
+# test it in place, under perfbench/run.sh's offline environment, so an
+# internal/ API change cannot break the benchmark unnoticed.
+PERFBENCHENV := GOCACHE=$(CURDIR)/.bench_build/go-cache GOMODCACHE=$(CURDIR)/.bench_build/go-mod \
+	GOPATH=$(CURDIR)/.bench_build/go-path XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config \
+	XDG_CACHE_HOME=$(CURDIR)/.bench_build/cache GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS=
+
+perfbenchtest:
+	mkdir -p .bench_build
+	cd perfbench && export $(PERFBENCHENV) && $(GO) vet ./... && $(GO) test ./...
+
 # vet = stock go vet + the biscuitvet analyzer suite (arenaescape,
 # detrand, eventpurity, fiberyield, healthstate, ndpframing,
 # nogoroutine, portcheck, simtimemix, spanbalance, statnames,
 # walltime — see DESIGN.md "Invariants").
 # biscuitvet runs
-# through the standard vettool protocol; waivers are either the legacy
-# //biscuitvet:<name>-ok directive or //biscuitvet:ignore <name>: <reason>
-# (a reasonless ignore is itself a finding, so `make vet` fails on it).
+# through the standard vettool protocol; waivers are
+# //biscuitvet:ignore <name>: <reason> (a reasonless ignore is itself a
+# finding, so `make vet` fails on it).
 vet: $(VETTOOL)
 	$(GO) vet ./...
 	$(GO) vet -vettool=$(VETTOOL) ./...

@@ -61,14 +61,7 @@ func (scannerLet) Run(c *Context) error {
 	if !ok {
 		return fmt.Errorf("biscuit: scanner needs ScanArgs, got %T", c.Arg(0))
 	}
-	keys := make([][]byte, len(args.Keys))
-	for i, k := range args.Keys {
-		keys[i] = []byte(k)
-	}
-	if err := match.ValidateHW(keys); err != nil {
-		return err
-	}
-	a, err := match.Compile(keys)
+	a, err := match.CompileHW(args.Keys)
 	if err != nil {
 		return err
 	}

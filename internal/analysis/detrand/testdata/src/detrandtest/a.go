@@ -21,5 +21,5 @@ func good(seed int64) int {
 }
 
 func waived() float64 {
-	return rand.Float64() //biscuitvet:detrand-ok — demo of the escape hatch
+	return rand.Float64() //biscuitvet:ignore detrand: demo of the escape hatch
 }

@@ -16,7 +16,7 @@
 // by data, which the analyzer cannot bound, and in practice the
 // starvation bugs seen in device code are drain loops of the
 // `for { ... }` shape. Suppress a deliberate spin (e.g. a loop whose
-// every path returns) with //biscuitvet:fiberyield-ok.
+// every path returns) with //biscuitvet:ignore fiberyield: <reason>.
 package fiberyield
 
 import (

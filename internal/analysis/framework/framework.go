@@ -23,10 +23,10 @@ import (
 // mutate global state, so one Analyzer value can be shared by the
 // multichecker, go vet workers, and tests.
 type Analyzer struct {
-	// Name identifies the analyzer. It doubles as the suffix of its
-	// suppression directive: a comment //biscuitvet:<name>-ok on the
-	// flagged line, the line above it, or in the file header waives
-	// the check.
+	// Name identifies the analyzer. It is the name its suppression
+	// directive carries: a comment //biscuitvet:ignore <name>: <reason>
+	// on the flagged line, the line above it, or in the file header
+	// waives the check.
 	Name string
 
 	// Doc is the analyzer's one-paragraph documentation.
@@ -143,28 +143,26 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Directive returns the suppression directive for the pass's analyzer,
-// e.g. "//biscuitvet:walltime-ok".
+// Directive returns the suppression directive diagnostics suggest for
+// the pass's analyzer, e.g. "//biscuitvet:ignore walltime: <reason>".
 func (p *Pass) Directive() string {
-	return "//biscuitvet:" + p.Analyzer.Name + "-ok"
+	return IgnorePrefix + " " + p.Analyzer.Name + ": <reason>"
 }
 
-// suppressed reports whether a suppression covers pos: the legacy
-// "<name>-ok" directive or a reasoned "ignore <name>: why" directive on
-// the same source line, on the line immediately above, or anywhere in
-// the file header (comments before the package clause — whole-file
-// waiver, used e.g. by host-side CLIs that legitimately read the wall
-// clock).
+// suppressed reports whether a reasoned "ignore <name>: why" directive
+// covers pos: on the same source line, on the line immediately above,
+// or anywhere in the file header (comments before the package clause —
+// whole-file waiver, used e.g. by host-side CLIs that legitimately read
+// the wall clock).
 func (p *Pass) suppressed(pos token.Pos) bool {
 	f := p.FileFor(pos)
 	if f == nil {
 		return false
 	}
-	directive := p.Directive()
 	line := p.Fset.Position(pos).Line
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if !strings.Contains(c.Text, directive) && !ignoreCovers(c.Text, p.Analyzer.Name) {
+			if !ignoreCovers(c.Text, p.Analyzer.Name) {
 				continue
 			}
 			cline := p.Fset.Position(c.Pos()).Line

@@ -12,7 +12,7 @@
 // multiplexes processes onto goroutines under a strict handoff
 // protocol — is the one place raw goroutines are legitimate, and it is
 // outside this analyzer's scope by construction. Rare exceptions are
-// waived with //biscuitvet:nogoroutine-ok.
+// waived with //biscuitvet:ignore nogoroutine: <reason>.
 package nogoroutine
 
 import (

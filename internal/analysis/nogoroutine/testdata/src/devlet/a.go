@@ -11,7 +11,7 @@ func process(f *fibers.Fiber, work []int) {
 	go func() { // want `raw go statement in device-side code`
 		drain(work)
 	}()
-	//biscuitvet:nogoroutine-ok — bridging to host-side test harness
+	//biscuitvet:ignore nogoroutine: bridging to host-side test harness
 	go drain(work)
 }
 

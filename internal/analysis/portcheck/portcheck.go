@@ -9,7 +9,7 @@
 // loss, so a call to one of these APIs used as a bare statement (or
 // under go/defer) is flagged. An explicit `_ =` assignment is treated
 // as a deliberate, reviewable discard and stays legal, as does
-// suppression via //biscuitvet:portcheck-ok.
+// suppression via //biscuitvet:ignore portcheck: <reason>.
 package portcheck
 
 import (

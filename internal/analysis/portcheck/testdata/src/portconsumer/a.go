@@ -25,7 +25,7 @@ func useQueue(q *ports.Queue) int {
 func useFile(f *isfs.File) error {
 	f.Write(0, nil) // want `result of isfs\.Write discarded`
 	f.Flush()       // no status result: fine
-	//biscuitvet:portcheck-ok — teardown path, best-effort write
+	//biscuitvet:ignore portcheck: teardown path, best-effort write
 	f.Write(8, nil)
 	return f.Write(16, nil) // consumed: fine
 }

@@ -9,7 +9,7 @@
 // helpers sim.FromDuration and sim.Time.AsDuration, which pin the unit
 // contract in one audited place. The sim package itself (where the
 // helpers live) is exempt; anything else is flagged unless waived with
-// //biscuitvet:simtimemix-ok.
+// //biscuitvet:ignore simtimemix: <reason>.
 package simtimemix
 
 import (

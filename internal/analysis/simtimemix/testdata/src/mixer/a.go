@@ -16,6 +16,6 @@ func conversions(d time.Duration, t sim.Time) {
 	_ = sim.Time(int64(d))  // laundered through int64: out of scope, fine
 	_ = time.Duration(42)   // untyped constant: fine
 
-	//biscuitvet:simtimemix-ok — calibration table literally in ns
+	//biscuitvet:ignore simtimemix: calibration table literally in ns
 	_ = sim.Time(d)
 }

@@ -22,7 +22,7 @@
 //
 // A Begin whose result is discarded outright is always a leak: nothing
 // can ever end that span. Deliberate exceptions are suppressed with
-// //biscuitvet:spanbalance-ok.
+// //biscuitvet:ignore spanbalance: <reason>.
 package spanbalance
 
 import (

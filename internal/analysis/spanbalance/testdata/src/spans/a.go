@@ -171,7 +171,7 @@ func switchEnds(d *dev, k int) {
 }
 
 func suppressed(d *dev) {
-	d.tr.Begin(d.tk, "op") //biscuitvet:spanbalance-ok deliberate leak exercised by the exporter test
+	d.tr.Begin(d.tk, "op") //biscuitvet:ignore spanbalance: deliberate leak exercised by the exporter test
 }
 
 // --- helpers ---------------------------------------------------------

@@ -14,8 +14,8 @@
 // binds the literals.
 //
 // Genuinely exceptional keys waive the check with a
-// //biscuitvet:statnames-ok comment on the line, the line above, or in
-// the file header, or a reasoned //biscuitvet:ignore statnames: ...
+// //biscuitvet:ignore statnames: <reason> comment on the line, the line
+// above, or in the file header.
 package statnames
 
 import (

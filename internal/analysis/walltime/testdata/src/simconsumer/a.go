@@ -25,7 +25,14 @@ func constructorsAreFine() {
 }
 
 func waivedInline() {
-	time.Now() //biscuitvet:walltime-ok — host-side progress display
-	//biscuitvet:walltime-ok — covers the next line
+	time.Now() //biscuitvet:ignore walltime: host-side progress display
+	//biscuitvet:ignore walltime: covers the next line
 	time.Sleep(time.Millisecond)
+}
+
+// The legacy reasonless //biscuitvet:<name>-ok form is gone: it no
+// longer suppresses, and the diagnostic suggests the reasoned waiver.
+func legacyWaiverIgnored() {
+	//biscuitvet:walltime-ok
+	time.Now() // want `time\.Now reads the wall clock .*suppress with //biscuitvet:ignore walltime: <reason>`
 }

@@ -2,7 +2,7 @@
 // reports real elapsed time; the file-header directive waives the
 // whole file.
 //
-//biscuitvet:walltime-ok
+//biscuitvet:ignore walltime: host-side CLI reports real elapsed time
 package waived
 
 import (

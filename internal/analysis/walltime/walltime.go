@@ -7,8 +7,8 @@
 // calls to wall-clock functions of package time in any package that
 // directly imports biscuit/internal/sim. Host-side CLIs that
 // legitimately need the wall clock (progress display, real timeouts)
-// waive the check with a //biscuitvet:walltime-ok comment on the line,
-// the line above, or in the file header.
+// waive the check with a //biscuitvet:ignore walltime: <reason> comment
+// on the line, the line above, or in the file header.
 package walltime
 
 import (

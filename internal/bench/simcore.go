@@ -79,9 +79,9 @@ func wallEventsPerSec(ops int64, fn func()) float64 {
 // read: measuring simulator wall throughput is this experiment's
 // purpose, hence the walltime waivers.
 func wallSeconds(fn func()) float64 {
-	start := time.Now() //biscuitvet:walltime-ok — timing the simulator itself is the experiment
+	start := time.Now() //biscuitvet:ignore walltime: timing the simulator itself is the experiment
 	fn()
-	return time.Since(start).Seconds() //biscuitvet:walltime-ok — timing the simulator itself is the experiment
+	return time.Since(start).Seconds() //biscuitvet:ignore walltime: timing the simulator itself is the experiment
 }
 
 // holdScenario runs the hold model at one queue depth on both queue

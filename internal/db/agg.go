@@ -132,9 +132,65 @@ func (h *HashAggOp) Schema() *Schema {
 }
 
 type aggGroup struct {
-	key    string
 	keyRow Row
 	states []aggState
+}
+
+// groupTable folds rows into per-group aggregate state. It is the one
+// fold shared by HashAggOp on the host and the aggregating NDP scan on
+// the device.
+type groupTable struct {
+	groupBy []Expr
+	aggs    []Agg
+	groups  map[string]*aggGroup
+	order   []string // group keys in first-seen order
+}
+
+func newGroupTable(groupBy []Expr, aggs []Agg) *groupTable {
+	return &groupTable{groupBy: groupBy, aggs: aggs, groups: make(map[string]*aggGroup)}
+}
+
+// add folds r into its group, creating the group on first sight.
+func (g *groupTable) add(r Row) {
+	var sb strings.Builder
+	keyRow := make(Row, len(g.groupBy))
+	for i, e := range g.groupBy {
+		v := e.Eval(r)
+		keyRow[i] = v
+		sb.WriteString(keyString(v))
+		sb.WriteByte(0)
+	}
+	k := sb.String()
+	grp, ok := g.groups[k]
+	if !ok {
+		grp = &aggGroup{keyRow: keyRow, states: make([]aggState, len(g.aggs))}
+		g.groups[k] = grp
+		g.order = append(g.order, k)
+	}
+	for i, a := range g.aggs {
+		v := Int(1)
+		if a.Arg != nil {
+			v = a.Arg.Eval(r)
+		}
+		grp.states[i].add(a.F, v)
+	}
+}
+
+// rows returns one [group values..., aggregate results...] row per
+// group, ordered by group key for determinism.
+func (g *groupTable) rows() []Row {
+	sort.Strings(g.order)
+	out := make([]Row, 0, len(g.order))
+	for _, k := range g.order {
+		grp := g.groups[k]
+		row := make(Row, 0, len(grp.keyRow)+len(g.aggs))
+		row = append(row, grp.keyRow...)
+		for i, a := range g.aggs {
+			row = append(row, grp.states[i].result(a.F))
+		}
+		out = append(out, row)
+	}
+	return out
 }
 
 // Open drains the input, grouping and aggregating.
@@ -147,8 +203,7 @@ func (h *HashAggOp) Open() (err error) {
 			err = cerr
 		}
 	}()
-	groups := make(map[string]*aggGroup)
-	var order []string
+	gt := newGroupTable(h.GroupBy, h.Aggs)
 	in := NewRowBatch(h.Ex.batchCap())
 	for {
 		n, err := h.In.NextBatch(in)
@@ -160,47 +215,15 @@ func (h *HashAggOp) Open() (err error) {
 		}
 		h.Ex.chargeHost(h.Ex.Cost.HostAggCPR * float64(n))
 		for ri := 0; ri < n; ri++ {
-			r := in.Row(ri)
-			var sb strings.Builder
-			keyRow := make(Row, len(h.GroupBy))
-			for i, g := range h.GroupBy {
-				v := g.Eval(r)
-				keyRow[i] = v
-				sb.WriteString(keyString(v))
-				sb.WriteByte(0)
-			}
-			k := sb.String()
-			grp, ok := groups[k]
-			if !ok {
-				grp = &aggGroup{key: k, keyRow: keyRow, states: make([]aggState, len(h.Aggs))}
-				groups[k] = grp
-				order = append(order, k)
-			}
-			for i, a := range h.Aggs {
-				v := Int(1)
-				if a.Arg != nil {
-					v = a.Arg.Eval(r)
-				}
-				grp.states[i].add(a.F, v)
-			}
+			gt.add(in.Row(ri))
 		}
 	}
-	if len(h.GroupBy) == 0 && len(order) == 0 {
+	if len(h.GroupBy) == 0 && len(gt.order) == 0 {
 		// SQL scalar aggregates yield one row even over empty input.
-		groups[""] = &aggGroup{states: make([]aggState, len(h.Aggs))}
-		order = append(order, "")
+		gt.groups[""] = &aggGroup{states: make([]aggState, len(h.Aggs))}
+		gt.order = append(gt.order, "")
 	}
-	sort.Strings(order)
-	h.rows = make([]Row, 0, len(order))
-	for _, k := range order {
-		grp := groups[k]
-		row := make(Row, 0, len(grp.keyRow)+len(h.Aggs))
-		row = append(row, grp.keyRow...)
-		for i, a := range h.Aggs {
-			row = append(row, grp.states[i].result(a.F))
-		}
-		h.rows = append(h.rows, row)
-	}
+	h.rows = gt.rows()
 	h.at = 0
 	// Build output schema from the first group (or a placeholder).
 	cols := make([]Column, 0, len(h.GroupBy)+len(h.Aggs))

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -140,4 +141,34 @@ func TestConvScanSurvivesBackgroundFaultPlan(t *testing.T) {
 	if sys.Plat.Inj.Total() == 0 {
 		t.Fatal("default plan injected nothing over a full load+scan")
 	}
+}
+
+// An aggregate scan cannot fall back (the device holds the partial
+// state), so when its consumer stops before reading, the media error
+// surfaces from Close — exactly once: the application is reaped on the
+// first Close, and a second Close is a no-op like every other
+// iterator's.
+func TestNDPAggCloseReportsMediaErrorOnce(t *testing.T) {
+	sys := faultSys(scanPlan)
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		tab := loadFixture(t, h, d, 2000, 50)
+		ex := NewExec(h, d)
+		it := ex.NewNDPAggScan(tab, []string{"TARGETKEY"}, EqS(tab.Sch, "note", "TARGETKEY"),
+			nil, []Agg{{F: CountAgg, Name: "n"}})
+		if err := it.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if err := it.Close(); !errors.Is(err, fault.ErrUncorrectable) {
+			t.Fatalf("first Close = %v, want an uncorrectable media error", err)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatalf("second Close = %v, want nil", err)
+		}
+		// A consumer that drains the scan sees the error at end of
+		// stream instead; there is no Conv fallback to hide it.
+		if _, err := Collect(it); !errors.Is(err, fault.ErrUncorrectable) {
+			t.Fatalf("Collect = %v, want an uncorrectable media error", err)
+		}
+	})
 }

@@ -20,27 +20,41 @@ import (
 // looked at by the device CPU, which row-filters them with the full
 // predicate and ships qualifying rows to the host. Non-matching pages
 // never cross the NVMe link.
+//
+// Aggregation pushdown is the same scan with a different sink: the
+// extension the paper's §VIII points at ("developing non-trivial
+// data-intensive applications on Biscuit") and the capability Do et
+// al.'s Smart SSD prototype hard-wired into firmware. With an AggSpec
+// set, the device folds the surviving rows into per-group aggregate
+// state and ships only the group results — device-to-host traffic
+// becomes O(groups) instead of O(matching rows).
 
 // NDPModuleName is the module carrying the device scan task.
 const NDPModuleName = "xtradb-ndp.slet"
 
-// NDPBatchBytes is the default D2H output batch size of the offloaded
-// scans: qualifying rows are re-encoded on the device and shipped in
-// packets of roughly this many bytes. Both NDPScan and NDPAggScan
-// consult it (NDPScanArgs.Batch overrides it for the plain scan).
+// NDPBatchBytes is the D2H output batch size of the offloaded scan:
+// rows (table rows, or group rows under aggregation) are re-encoded on
+// the device and shipped in packets of roughly this many bytes.
 const NDPBatchBytes = 32 << 10
 
 // NDPScanID is the SSDlet class id of the device table scan.
 const NDPScanID = "idTableScan"
 
+// ndpAggFoldCPR is the device cycles per decoded row an aggregating
+// scan pays on top of DevEvalCPR: hashing the group key and updating
+// each accumulator.
+const ndpAggFoldCPR = 60
+
 // NDPScanArgs parameterizes one offloaded scan.
 type NDPScanArgs struct {
-	File  string
-	Keys  []string // hardware matcher keys (page-level prefilter)
-	Pred  Expr     // full row predicate (exact filter), may be nil
-	Sch   *Schema
-	Cost  CostModel
-	Batch int // output batch bytes (default 32 KiB)
+	File string
+	Keys []string // hardware matcher keys (page-level prefilter)
+	Pred Expr     // full row predicate (exact filter), may be nil
+	Sch  *Schema
+	Cost CostModel
+	// Agg, when set, aggregates the qualifying rows on the device and
+	// ships one [group..., aggregate...] row per group.
+	Agg *AggSpec
 	// Software disables the matcher IP: every page is decoded and
 	// filtered by the device CPU. This reproduces the paper's negative
 	// finding (§I) that software-only in-storage scanning cannot beat a
@@ -51,25 +65,30 @@ type NDPScanArgs struct {
 	PageSize int
 }
 
+// AggSpec is the aggregation an NDP scan performs on the device: the
+// GroupBy expressions (empty = one scalar group) and the aggregates,
+// both evaluated over the table's schema.
+type AggSpec struct {
+	GroupBy []Expr
+	Aggs    []Agg
+}
+
 type ndpScanLet struct{}
 
 func (ndpScanLet) Spec() biscuit.Spec {
 	return biscuit.Spec{Out: []core.SpecType{biscuit.PacketPort}}
 }
 
+// Run is the one device scan: a page source (the matcher prefilter, or
+// every page under Software), a CPU phase that decodes each page and
+// hands the rows passing the predicate to a sink, and a framer that
+// ships the sink's output in NDPBatchBytes packets.
 func (ndpScanLet) Run(c *biscuit.Context) error {
 	args, ok := c.Arg(0).(NDPScanArgs)
 	if !ok {
 		return fmt.Errorf("db: NDP scan needs NDPScanArgs, got %T", c.Arg(0))
 	}
-	keys := make([][]byte, len(args.Keys))
-	for i, k := range args.Keys {
-		keys[i] = []byte(k)
-	}
-	if err := match.ValidateHW(keys); err != nil {
-		return err
-	}
-	a, err := match.Compile(keys)
+	a, err := match.CompileHW(args.Keys)
 	if err != nil {
 		return err
 	}
@@ -81,100 +100,203 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 	if err != nil {
 		return err
 	}
-	batchSize := args.Batch
-	if batchSize <= 0 {
-		batchSize = NDPBatchBytes
+	pages, err := devicePages(c, f, a, args)
+	if err != nil {
+		return err
 	}
 
-	// Phase 1: stream the whole file through the matcher IPs, buffering
-	// only the pages that contain at least one key. Row predicates are
-	// page-superset-safe by construction (the planner derives keys from
-	// literal constants of the predicate).
-	type hit struct {
-		off  int64
-		data []byte
+	// Phase 2: the device CPU decodes the pages and evaluates the exact
+	// predicate; qualifying rows go to the sink, which frames its output
+	// for the D2H port.
+	fr := &framer{out: out}
+	cpr := args.Cost.DevEvalCPR
+	var sink scanSink = &rowSink{fr: fr, sch: args.Sch}
+	if args.Agg != nil {
+		cpr += ndpAggFoldCPR
+		sink = &aggSink{fr: fr, groups: newGroupTable(args.Agg.GroupBy, args.Agg.Aggs),
+			sch: ndpAggOutSchema(args.Sch, args.Agg)}
 	}
-	var hits []hit
+	for _, pg := range pages {
+		rows := 0
+		err := DecodePage(pg.data, args.Sch, func(r Row) error {
+			rows++
+			if args.Pred == nil || Truthy(args.Pred.Eval(r)) {
+				sink.add(r)
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("db: NDP scan decode @%d: %w", pg.off, err)
+		}
+		c.Compute(args.Cost.DevPageCheckCPP +
+			args.Cost.DevDecodeCPB*float64(len(pg.data)) +
+			cpr*float64(rows))
+		if !sink.pageDone() {
+			return nil
+		}
+	}
+	return sink.finish()
+}
+
+// devicePage is one table page buffered on the device for the CPU
+// phase, with its file offset.
+type devicePage struct {
+	off  int64
+	data []byte
+}
+
+// devicePages is phase 1, the page source: it streams the whole file
+// through the matcher IPs, buffering only the pages that contain at
+// least one key, in file order. Row predicates are page-superset-safe
+// by construction (the planner derives keys from literal constants of
+// the predicate). Under Software every page is buffered instead.
+func devicePages(c *biscuit.Context, f *isfs.File, a *match.Automaton, args NDPScanArgs) ([]devicePage, error) {
+	var pages []devicePage
 	if args.Software {
 		// Ablation: no matcher IP. Stream the file with plain internal
 		// reads and hand every page to the CPU phase.
 		const stride = 1 << 20
 		buf := make([]byte, stride)
-		ps := int64(len(buf))
-		for off := int64(0); off < f.Size(); off += ps {
-			n := int(ps)
+		pageSz := args.PageSize
+		if pageSz <= 0 {
+			pageSz = 16 << 10
+		}
+		for off := int64(0); off < f.Size(); off += stride {
+			n := stride
 			if rem := f.Size() - off; int64(n) > rem {
 				n = int(rem)
 			}
 			if _, err := c.ReadFile(f, off, buf[:n]); err != nil {
-				return err
-			}
-			pageSz := args.PageSize
-			if pageSz <= 0 {
-				pageSz = 16 << 10
+				return nil, err
 			}
 			for at := 0; at < n; at += pageSz {
-				end := at + pageSz
-				if end > n {
-					end = n
-				}
-				hits = append(hits, hit{off + int64(at), append([]byte(nil), buf[at:end]...)})
+				end := min(at+pageSz, n)
+				pages = append(pages, devicePage{off + int64(at), append([]byte(nil), buf[at:end]...)})
 			}
 		}
-	} else {
-		if err := c.ScanFile(f, 0, int(f.Size()), func(off int64, data []byte) {
-			if a.Contains(data) {
-				hits = append(hits, hit{off, append([]byte(nil), data...)})
-			}
-		}); err != nil {
-			return err
-		}
-		sort.Slice(hits, func(i, j int) bool { return hits[i].off < hits[j].off })
+		return pages, nil
 	}
+	if err := c.ScanFile(f, 0, int(f.Size()), func(off int64, data []byte) {
+		if a.Contains(data) {
+			pages = append(pages, devicePage{off, append([]byte(nil), data...)})
+		}
+	}); err != nil {
+		return nil, err
+	}
+	sort.Slice(pages, func(i, j int) bool { return pages[i].off < pages[j].off })
+	return pages, nil
+}
 
-	// Phase 2: the device CPU decodes matched pages and evaluates the
-	// exact predicate; qualifying rows are re-encoded and shipped in
-	// batches over the D2H port.
-	var batch []byte
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		pkt := biscuit.NewPacket(batch)
-		batch = nil
-		return out.Put(pkt)
+// scanSink consumes the rows that pass the predicate in the CPU phase.
+type scanSink interface {
+	// add takes one qualifying row, valid only for the call.
+	add(r Row)
+	// pageDone runs after each page's compute charge; false ends the
+	// scan quietly (the host closed the port).
+	pageDone() bool
+	// finish ships whatever the sink still holds.
+	finish() error
+}
+
+// framer packs encoded rows into D2H packets of NDPBatchBytes.
+type framer struct {
+	out   *core.OutPort[biscuit.Packet]
+	batch []byte
+}
+
+// ship sends the pending batch once it holds NDPBatchBytes — or, when
+// final, whatever is left. Rows never straddle packets. It reports
+// false when the host closed the port.
+func (fr *framer) ship(final bool) bool {
+	if len(fr.batch) == 0 || (!final && len(fr.batch) < NDPBatchBytes) {
+		return true
 	}
-	for _, hchunk := range hits {
-		rows := 0
-		kept := 0
-		err := DecodePage(hchunk.data, args.Sch, func(r Row) error {
-			rows++
-			if args.Pred == nil || Truthy(args.Pred.Eval(r)) {
-				kept++
-				batch = EncodeRow(batch, args.Sch, r)
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("db: NDP scan decode @%d: %w", hchunk.off, err)
-		}
-		c.Compute(args.Cost.DevPageCheckCPP +
-			args.Cost.DevDecodeCPB*float64(len(hchunk.data)) +
-			args.Cost.DevEvalCPR*float64(rows))
-		if len(batch) >= batchSize {
-			if !flush() {
-				return nil
-			}
-		}
-	}
-	flush()
+	pkt := biscuit.NewPacket(fr.batch)
+	fr.batch = nil
+	return fr.out.Put(pkt)
+}
+
+// rowSink re-encodes every qualifying row into the output batch and
+// ships at page granularity.
+type rowSink struct {
+	fr  *framer
+	sch *Schema
+}
+
+func (s *rowSink) add(r Row)      { s.fr.batch = EncodeRow(s.fr.batch, s.sch, r) }
+func (s *rowSink) pageDone() bool { return s.fr.ship(false) }
+
+func (s *rowSink) finish() error {
+	s.fr.ship(true)
 	return nil
+}
+
+// aggSink folds qualifying rows into per-group state and, at the end,
+// ships the group results as (keyRow..., aggVals...) rows in
+// deterministic key order, flushing after each row that fills a batch
+// (group counts above the batch size split cleanly).
+type aggSink struct {
+	fr     *framer
+	groups *groupTable
+	sch    *Schema // ndpAggOutSchema
+}
+
+func (s *aggSink) add(r Row)      { s.groups.add(r) }
+func (s *aggSink) pageDone() bool { return true }
+
+// errAggDropped fails an aggregating scan whose host closed the port
+// before taking every group row. A row scan in that spot stops quietly
+// instead: its consumer stopped early, e.g. under a LIMIT.
+var errAggDropped = errors.New("db: aggregate result dropped: output port closed")
+
+func (s *aggSink) finish() error {
+	for _, row := range s.groups.rows() {
+		s.fr.batch = EncodeRow(s.fr.batch, s.sch, row)
+		if !s.fr.ship(false) {
+			return errAggDropped
+		}
+	}
+	if !s.fr.ship(true) {
+		return errAggDropped
+	}
+	return nil
+}
+
+// ndpAggOutSchema derives the device->host row schema of an aggregate
+// scan over a table of schema sch. Group types are probed by evaluating
+// the expressions against a zero row at plan time on the host; aggregate
+// columns use their natural result types.
+func ndpAggOutSchema(sch *Schema, spec *AggSpec) *Schema {
+	zero := make(Row, len(sch.Cols))
+	for i, c := range sch.Cols {
+		zero[i] = Value{T: c.T}
+	}
+	cols := make([]Column, 0, len(spec.GroupBy)+len(spec.Aggs))
+	for i, g := range spec.GroupBy {
+		cols = append(cols, Column{Name: fmt.Sprintf("g%d", i), T: g.Eval(zero).T})
+	}
+	for i, ag := range spec.Aggs {
+		t := TInt
+		switch ag.F {
+		case Sum, Min, Max:
+			if ag.Arg != nil {
+				t = ag.Arg.Eval(zero).T
+			}
+		case Avg:
+			t = TDecimal
+		}
+		name := ag.Name
+		if name == "" {
+			name = fmt.Sprintf("a%d", i)
+		}
+		cols = append(cols, Column{Name: name, T: t})
+	}
+	return NewSchema(cols...)
 }
 
 func ndpScanImage() *biscuit.ModuleImage {
 	return biscuit.NewModule(NDPModuleName, 128<<10).
-		RegisterSSDLet(NDPScanID, func() biscuit.SSDlet { return ndpScanLet{} }).
-		RegisterSSDLet(NDPAggID, func() biscuit.SSDlet { return ndpAggLet{} })
+		RegisterSSDLet(NDPScanID, func() biscuit.SSDlet { return ndpScanLet{} })
 }
 
 // ensureNDP loads the device scan module once per database.
@@ -190,15 +312,27 @@ func (d *Database) ensureNDP(h *biscuit.Host) (*biscuit.Module, error) {
 	return m, nil
 }
 
-// NDPScan is the host-side iterator over an offloaded table scan.
+// NDPScan is the host-side iterator over an offloaded table scan, and
+// over an aggregating one when Agg is set.
+//
+// A row scan that dies on a media error degrades to the Conv path (see
+// NextBatch). An aggregating scan has no Conv fallback: partial
+// aggregates cannot be resumed on the host after a mid-scan media
+// failure (the device holds the accumulator state), so an uncorrectable
+// error surfaces to the caller, who reruns the query on the Conv plan;
+// the FTL's read-retry and the interface's command retry have already
+// absorbed everything absorbable by then.
 type NDPScan struct {
 	Ex   *Exec
 	T    *Table
 	Keys []string
 	Pred Expr
+	// Agg, when set, aggregates on the device over T's schema.
+	Agg *AggSpec
 	// Software selects the no-matcher ablation path.
 	Software bool
 
+	aggSch  *Schema // Schema() under Agg
 	app     *biscuit.Application
 	port    *biscuit.HostIn[biscuit.Packet]
 	batch   []byte
@@ -226,8 +360,25 @@ func (ex *Exec) NewNDPScan(t *Table, keys []string, pred Expr) *NDPScan {
 	return &NDPScan{Ex: ex, T: t, Keys: keys, Pred: pred}
 }
 
-// Schema returns the table schema.
-func (s *NDPScan) Schema() *Schema { return s.T.Sch }
+// NewNDPAggScan builds a filter+aggregate offload: an NDP scan that
+// yields [group columns..., aggregate columns...] rows.
+func (ex *Exec) NewNDPAggScan(t *Table, keys []string, pred Expr, groupBy []Expr, aggs []Agg) *NDPScan {
+	s := ex.NewNDPScan(t, keys, pred)
+	s.Agg = &AggSpec{GroupBy: groupBy, Aggs: aggs}
+	return s
+}
+
+// Schema returns the table schema, or [group columns..., aggregate
+// columns...] under Agg.
+func (s *NDPScan) Schema() *Schema {
+	if s.Agg == nil {
+		return s.T.Sch
+	}
+	if s.aggSch == nil {
+		s.aggSch = ndpAggOutSchema(s.T.Sch, s.Agg)
+	}
+	return s.aggSch
+}
 
 // Open loads the scan module, wires the application and starts it.
 func (s *NDPScan) Open() error {
@@ -243,6 +394,7 @@ func (s *NDPScan) Open() error {
 		Pred:     s.Pred,
 		Sch:      s.T.Sch,
 		Cost:     s.Ex.Cost,
+		Agg:      s.Agg,
 		Software: s.Software,
 		PageSize: s.T.PageSize,
 	})
@@ -274,7 +426,7 @@ func (s *NDPScan) Open() error {
 
 // NextBatch decodes the next shipped packet directly into b — the
 // device's 32 KiB D2H byte-batches map onto host RowBatches without a
-// per-row iterator step in between. When the device scan dies on an
+// per-row iterator step in between. When a row scan dies on an
 // uncorrectable media error, the scan transparently degrades to the
 // conventional host path: a ConvScan is opened, already-delivered rows
 // are skipped batch-aligned (both paths emit predicate-passing rows in
@@ -309,7 +461,7 @@ func (s *NDPScan) NextBatch(b *RowBatch) (int, error) {
 			b.Reset()
 			consumed := 0
 			for len(s.batch) > 0 && !b.Full() {
-				k, err := b.DecodeRowInto(s.batch, s.T.Sch)
+				k, err := b.DecodeRowInto(s.batch, s.Schema())
 				if err != nil {
 					return 0, err
 				}
@@ -319,17 +471,15 @@ func (s *NDPScan) NextBatch(b *RowBatch) (int, error) {
 			b.FinishStrings()
 			n := b.Len()
 			s.Ex.chargeHost(s.Ex.Cost.HostDecodeCPB * float64(consumed))
-			s.Ex.St.RowsScanned += int64(n)
+			if s.Agg == nil {
+				s.Ex.St.RowsScanned += int64(n)
+			}
 			s.emitted += int64(n)
 			return n, nil
 		}
 		pkt, ok := s.port.GetPacket()
 		if !ok {
-			err := s.finishApp()
-			if err == nil {
-				return 0, nil
-			}
-			if !errors.Is(err, fault.ErrUncorrectable) {
+			if err := s.finishApp(); err == nil || !s.recoverable(err) {
 				return 0, err
 			}
 			if ferr := s.engageFallback(); ferr != nil {
@@ -356,6 +506,13 @@ func (s *NDPScan) finishApp() error {
 		return fmt.Errorf("db: device scan failed: %w", err)
 	}
 	return nil
+}
+
+// recoverable reports whether a device failure can be absorbed: only a
+// row scan's media error can, by the Conv fallback mid-stream or by the
+// consumer having stopped early at Close.
+func (s *NDPScan) recoverable(err error) bool {
+	return s.Agg == nil && errors.Is(err, fault.ErrUncorrectable)
 }
 
 // engageFallback switches the iterator onto a ConvScan after a device
@@ -420,23 +577,22 @@ func (s *NDPScan) Close() error {
 			}
 			s.recvd += int64(pkt.Len())
 		}
-		if err := s.finishApp(); err != nil && !errors.Is(err, fault.ErrUncorrectable) {
-			// An uncorrectable media error after the consumer stopped
-			// early is moot: every requested row was delivered.
+		if err := s.finishApp(); err != nil && !s.recoverable(err) {
+			// A row scan's uncorrectable media error after the consumer
+			// stopped early is moot: every requested row was delivered.
 			firstErr = err
 		}
 	}
 	ps := int64(s.T.PageSize)
 	s.Ex.AddLinkPages((s.recvd + ps - 1) / ps)
 	s.app = nil
+	// The span ends even when the device application failed — the export
+	// should show the aborted scan's true extent.
 	if s.opened {
 		s.opened = false
 		s.span.End()
 		s.span = trace.Span{}
 		s.Ex.observeScan("db.scan.ndp", s.Ex.H.Now()-s.started)
 	}
-	if firstErr != nil {
-		return firstErr
-	}
-	return nil
+	return firstErr
 }

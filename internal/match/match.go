@@ -152,6 +152,21 @@ func MustCompile(keys ...string) *Automaton {
 	return a
 }
 
+// CompileHW compiles string keys for the hardware matcher IP: it
+// rejects key sets outside the IP's limits (ValidateHW) before building
+// the automaton, so device tasks fail on the same keys the silicon
+// would refuse.
+func CompileHW(keys []string) (*Automaton, error) {
+	bs := make([][]byte, len(keys))
+	for i, k := range keys {
+		bs[i] = []byte(k)
+	}
+	if err := ValidateHW(bs); err != nil {
+		return nil, err
+	}
+	return Compile(bs)
+}
+
 // Keys returns the compiled key set.
 func (a *Automaton) Keys() [][]byte { return a.keys }
 

@@ -197,3 +197,20 @@ func TestCompileRejectsEmpty(t *testing.T) {
 		t.Fatalf("err=%v", err)
 	}
 }
+
+func TestCompileHW(t *testing.T) {
+	a, err := CompileHW([]string{"needle", "pin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Contains([]byte("haystack pin")) || a.Contains([]byte("haystack")) {
+		t.Fatal("compiled automaton does not match its keys")
+	}
+	// Compile alone would accept these; the hardware limits must not.
+	if _, err := CompileHW([]string{"a", "b", "c", "d"}); !errors.Is(err, ErrTooManyKeys) {
+		t.Fatalf("err=%v", err)
+	}
+	if _, err := CompileHW([]string{"seventeen bytes!!"}); !errors.Is(err, ErrKeyTooLong) {
+		t.Fatalf("err=%v", err)
+	}
+}
