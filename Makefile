@@ -9,7 +9,7 @@ VETTOOL := bin/biscuitvet
 # dangerous kind.
 TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/...
 
-.PHONY: all build test race racefault vet vet-fix fmt check faulttest faultbench healtest healbench benchsmoke benchgate bless-bench servebench tracesmoke telemetrysmoke perfbenchtest clean
+.PHONY: all build test race racefault vet vet-fix fmt check faulttest faultbench healbench benchsmoke benchgate bless-bench servebench tracesmoke telemetrysmoke perfbenchtest clean
 
 all: build
 
@@ -44,19 +44,6 @@ faulttest:
 	$(GO) test -count=2 ./internal/fault/...
 	$(GO) test -count=2 -run $(FAULTRUN) $(FAULTPKGS)
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
-
-# Self-healing suite (DESIGN.md "Self-healing"): the health monitor's
-# unit tests plus every rebuild/migration/replica/health test across
-# the stack, run twice to catch schedule nondeterminism — the
-# transition log, rebuild page order and migration cutover points are
-# all part of the deterministic surface.
-HEALRUN := 'Health|Heal|Rebuild|Migrat|Replica|Shard'
-HEALPKGS := ./internal/ftl/... ./internal/serve/... ./internal/tpch/... \
-	./internal/weblog/...
-
-healtest:
-	$(GO) test -count=2 ./internal/health/...
-	$(GO) test -count=2 -run $(HEALRUN) $(HEALPKGS)
 
 # Heal bench (DESIGN.md "Self-healing"): the availability-vs-repair
 # curve — die failure time x rebuild pacing x migration on/off — as

@@ -61,15 +61,8 @@ func main() {
 					fmt.Printf("wrote %s (load in https://ui.perfetto.dev)\n", path)
 				}
 				if *stats {
-					fmt.Printf("-- platform %d counters\n", i+1)
-					for _, c := range s.Plat.Ctrs.Snapshot() {
-						fmt.Printf("   %-24s %d\n", c.Name, c.Value)
-					}
-					fmt.Printf("-- platform %d latencies (ns)\n", i+1)
-					for _, h := range s.Plat.Hists.Snapshot() {
-						fmt.Printf("   %-24s count=%-8d p50=%-11d p95=%-11d p99=%-11d max=%d\n",
-							h.Name, h.Summary.Count, h.Summary.P50, h.Summary.P95, h.Summary.P99, h.Summary.Max)
-					}
+					fmt.Printf("-- platform %d\n", i+1)
+					s.Plat.WriteStats(os.Stdout)
 				}
 			}
 		}()

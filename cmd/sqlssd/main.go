@@ -168,7 +168,7 @@ func main() {
 		fmt.Printf("wrote %s (load in https://ui.perfetto.dev)\n", *traceOut)
 	}
 	if *stats {
-		printStats(sys)
+		sys.Plat.WriteStats(os.Stdout)
 		printTelemetry(sampler)
 	}
 }
@@ -326,22 +326,6 @@ func serveMain(devices, tenants int, rate float64, windowMs int, policy string, 
 			os.Exit(1)
 		}
 		fmt.Printf("\nwrote %s (load in https://ui.perfetto.dev)\n", traceOut)
-	}
-}
-
-// printStats dumps the platform's counter and histogram registries in
-// their deterministic (name-sorted) snapshot order.
-func printStats(sys *biscuit.System) {
-	fmt.Println("-- counters")
-	for _, c := range sys.Plat.Ctrs.Snapshot() {
-		fmt.Printf("   %-24s %d\n", c.Name, c.Value)
-	}
-	fmt.Println("-- latencies")
-	for _, s := range sys.Plat.Hists.Snapshot() {
-		fmt.Printf("   %-24s count=%-8d p50=%-12v p95=%-12v p99=%-12v max=%v\n",
-			s.Name, s.Summary.Count,
-			time.Duration(s.Summary.P50), time.Duration(s.Summary.P95),
-			time.Duration(s.Summary.P99), time.Duration(s.Summary.Max))
 	}
 }
 

@@ -6,12 +6,9 @@
 // convention is what makes snapshots, bench JSON and telemetry series
 // greppable and stable; one "FTL-GCDebt" in a hot path silently forks
 // the namespace. The analyzer checks every constant-string key passed
-// to the name-taking methods of biscuit/internal/stats registries and
-// their Prefixed views. Prefix arguments (Prefixed) must be "" or
-// dotted segments each ending in "." ("ssd0.", "tenant.acme."), since
-// they concatenate with bare leaf names. Dynamically built names
-// (fmt.Sprintf, name+".suffix") are out of scope — the convention
-// binds the literals.
+// to the name-taking methods of the biscuit/internal/stats registries.
+// Dynamically built names (fmt.Sprintf, name+".suffix") are out of
+// scope — the convention binds the literals.
 //
 // Genuinely exceptional keys waive the check with a
 // //biscuitvet:ignore statnames: <reason> comment on the line, the line
@@ -32,25 +29,12 @@ const statsPath = "biscuit/internal/stats"
 // nameMethods maps receiver type -> methods whose first argument is a
 // metric name.
 var nameMethods = map[string]map[string]bool{
-	"Counters":           {"Add": true, "Get": true},
-	"Histograms":         {"Observe": true, "H": true, "Get": true},
-	"Gauges":             {"G": true, "Set": true, "Add": true, "Get": true},
-	"PrefixedCounters":   {"Add": true, "Get": true},
-	"PrefixedHistograms": {"Observe": true, "H": true, "Get": true},
-	"PrefixedGauges":     {"G": true, "Set": true, "Add": true, "Get": true},
+	"Counters":   {"Add": true, "Get": true},
+	"Histograms": {"Observe": true, "H": true, "Get": true},
+	"Gauges":     {"G": true, "Set": true, "Add": true, "Get": true},
 }
 
-// prefixReceivers are the types whose Prefixed method takes a prefix
-// (dotted segments, trailing dot) rather than a leaf name.
-var prefixReceivers = map[string]bool{
-	"Counters": true, "Histograms": true, "Gauges": true,
-	"PrefixedCounters": true, "PrefixedGauges": true,
-}
-
-var (
-	nameRe   = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
-	prefixRe = regexp.MustCompile(`^([a-z0-9_]+\.)+$`)
-)
+var nameRe = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
 
 // Analyzer is the statnames check.
 var Analyzer = &framework.Analyzer{
@@ -73,9 +57,7 @@ func run(pass *framework.Pass) error {
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != statsPath {
 				return true
 			}
-			recv := framework.ReceiverTypeName(fn)
-			isPrefix := fn.Name() == "Prefixed" && prefixReceivers[recv]
-			if !isPrefix && !nameMethods[recv][fn.Name()] {
+			if !nameMethods[framework.ReceiverTypeName(fn)][fn.Name()] {
 				return true
 			}
 			key, ok := constString(pass, call.Args[0])
@@ -83,14 +65,6 @@ func run(pass *framework.Pass) error {
 				return true // dynamic names are out of scope
 			}
 			if pass.InTestFile(call.Pos()) {
-				return true
-			}
-			if isPrefix {
-				if key != "" && !prefixRe.MatchString(key) {
-					pass.Reportf(call.Pos(),
-						"stats prefix %q is not dotted lowercase segments ending in \".\" (want e.g. \"ssd0.\"; suppress with %s)",
-						key, pass.Directive())
-				}
 				return true
 			}
 			if !nameRe.MatchString(key) {

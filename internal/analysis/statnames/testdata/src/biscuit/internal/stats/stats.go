@@ -19,46 +19,22 @@ type Counters struct{ m map[string]*Counter }
 
 func NewCounters() *Counters { return &Counters{} }
 
-func (c *Counters) Add(name string, d int64)            {}
-func (c *Counters) Get(name string) int64               { return 0 }
-func (c *Counters) Prefixed(p string) *PrefixedCounters { return &PrefixedCounters{} }
-
-type PrefixedCounters struct{ c *Counters }
-
-func (p *PrefixedCounters) Add(name string, d int64)             {}
-func (p *PrefixedCounters) Get(name string) int64                { return 0 }
-func (p *PrefixedCounters) Prefixed(pr string) *PrefixedCounters { return p }
+func (c *Counters) Add(name string, d int64) {}
+func (c *Counters) Get(name string) int64    { return 0 }
 
 type Histograms struct{ m map[string]*Histogram }
 
 func NewHistograms() *Histograms { return &Histograms{} }
 
-func (h *Histograms) Observe(name string, v int64)          {}
-func (h *Histograms) H(name string) *Histogram              { return nil }
-func (h *Histograms) Get(name string) *Histogram            { return nil }
-func (h *Histograms) Prefixed(p string) *PrefixedHistograms { return &PrefixedHistograms{} }
-
-type PrefixedHistograms struct{ h *Histograms }
-
-func (p *PrefixedHistograms) Observe(name string, v int64) {}
-func (p *PrefixedHistograms) H(name string) *Histogram     { return nil }
-func (p *PrefixedHistograms) Get(name string) *Histogram   { return nil }
+func (h *Histograms) Observe(name string, v int64) {}
+func (h *Histograms) H(name string) *Histogram     { return nil }
+func (h *Histograms) Get(name string) *Histogram   { return nil }
 
 type Gauges struct{ m map[string]*Gauge }
 
 func NewGauges() *Gauges { return &Gauges{} }
 
-func (g *Gauges) G(name string) *Gauge              { return nil }
-func (g *Gauges) Set(name string, v int64)          {}
-func (g *Gauges) Add(name string, d int64)          {}
-func (g *Gauges) Get(name string) int64             { return 0 }
-func (g *Gauges) Prefixed(p string) *PrefixedGauges { return &PrefixedGauges{} }
-
-type PrefixedGauges struct{ g *Gauges }
-
-func (p *PrefixedGauges) Prefixed(pr string) *PrefixedGauges { return p }
-
-func (p *PrefixedGauges) G(name string) *Gauge     { return nil }
-func (p *PrefixedGauges) Set(name string, v int64) {}
-func (p *PrefixedGauges) Add(name string, d int64) {}
-func (p *PrefixedGauges) Get(name string) int64    { return 0 }
+func (g *Gauges) G(name string) *Gauge     { return nil }
+func (g *Gauges) Set(name string, v int64) {}
+func (g *Gauges) Add(name string, d int64) {}
+func (g *Gauges) Get(name string) int64    { return 0 }

@@ -1,5 +1,5 @@
 // Package metricuser exercises the statnames naming rules on every
-// registry kind and on the Prefixed views.
+// registry kind.
 package metricuser
 
 import (
@@ -35,23 +35,8 @@ func badNames(c *stats.Counters, h *stats.Histograms, g *stats.Gauges) {
 	c.Add("ok.name"+" bad", 1)  // want `stats key "ok\.name bad" is not lowercase dotted`
 }
 
-func prefixes(c *stats.Counters, g *stats.Gauges) {
-	pc := c.Prefixed("tenant.acme.")
-	pc.Add("rejected", 1)
-	_ = pc.Prefixed("batch.").Get("rows")
-	pg := g.Prefixed("ssd0.")
-	pg.Set("hostif.qd", 1)
-	_ = c.Prefixed("") // empty prefix aliases the root registry
-
-	_ = c.Prefixed("tenant.acme") // want `stats prefix "tenant\.acme" is not dotted lowercase segments ending in "\."`
-	_ = c.Prefixed("Tenant.")     // want `stats prefix "Tenant\." is not dotted lowercase segments ending in "\."`
-	_ = g.Prefixed(".ssd0.")      // want `stats prefix "\.ssd0\." is not dotted lowercase segments ending in "\."`
-	_ = pg.Prefixed("ch-0.")      // want `stats prefix "ch-0\." is not dotted lowercase segments ending in "\."`
-}
-
 func dynamicNamesAreSkipped(c *stats.Counters, g *stats.Gauges, tenant string, i int) {
 	// Runtime-built keys are out of scope: the convention binds literals.
 	c.Add("tenant."+tenant+".Rejected", 1)
 	g.Set(fmt.Sprintf("nand.ch%d.Busy", i), 1)
-	_ = c.Prefixed("tenant." + tenant)
 }

@@ -6,5 +6,4 @@ import "biscuit/internal/stats"
 func scratchKeysInTests(c *stats.Counters, g *stats.Gauges) {
 	c.Add("Scratch-Key", 1)
 	g.Set("ANYTHING GOES", 2)
-	_ = c.Prefixed("NotAPrefix")
 }

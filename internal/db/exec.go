@@ -43,17 +43,16 @@ func DefaultCost() CostModel {
 	}
 }
 
-// Stats accumulates execution counters; Fig. 10's I/O-reduction ratio is
-// PagesOverLink(Conv run) / PagesOverLink(Biscuit run). The scan and
-// fallback counters are mirrored onto the platform stats.Counters
-// registry ("db.scan.conv", "db.scan.ndp", "db.pages.link",
-// "db.ndp.fallback") so one observability surface covers the device and
-// DB layers.
+// Stats accumulates one query run's execution counters; Fig. 10's
+// I/O-reduction ratio is PagesOverLink(Conv run) / PagesOverLink(Biscuit
+// run). The scan, fallback and link-page counts also accumulate per
+// platform, across runs, in the device's stats.Counters — the only keys
+// that registry holds ("db.scan.conv", "db.scan.ndp", "db.ndp.fallback",
+// "db.pages.link").
 type Stats struct {
 	PagesOverLink int64 // pages (equivalent) moved across the host interface
 	PagesInternal int64 // pages read inside the device (NDP scans)
 	RowsScanned   int64
-	RowsEmitted   int64
 	NDPScans      int64
 	ConvScans     int64
 	// NDPFallbacks counts offloaded scans that hit an uncorrectable

@@ -142,8 +142,10 @@ type Platform struct {
 	// so one schedule covers the whole device.
 	Inj *fault.Injector
 
-	// Ctrs records operational events (fault-path events in particular)
-	// for the evaluation's counter dumps. Always non-nil.
+	// Ctrs records the database's scan events ("db.scan.conv",
+	// "db.scan.ndp", "db.ndp.fallback", "db.pages.link") for the
+	// evaluation's counter dumps. FTL activity is not mirrored here:
+	// FTL.Rain, FTL.Rebuild and FTL.FaultStats hold it. Always non-nil.
 	Ctrs *stats.Counters
 
 	// Hists records latency distributions ("hostif.read", "ftl.gc.round",
@@ -202,7 +204,6 @@ func NewShared(env *sim.Env, cfg Config, hostCPU *cpu.CPU, hostMem *sim.SharedBW
 	p.DevRT = fibers.New(env, fibers.Config{Cores: cfg.DevCores, Hz: cfg.DevHz, CSW: cfg.FiberCSW})
 	p.HostIF.SetHists(p.Hists)
 	p.FTL.SetHists(p.Hists)
-	p.FTL.SetCounters(p.Ctrs)
 	p.DevRT.SetHists(p.Hists)
 	p.HostIF.SetGauges(p.Gauges)
 	p.FTL.SetGauges(p.Gauges)

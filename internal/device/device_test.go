@@ -1,6 +1,7 @@
 package device
 
 import (
+	"strings"
 	"testing"
 
 	"biscuit/internal/sim"
@@ -42,6 +43,33 @@ func TestInternalReadAddsRuntimeOverhead(t *testing.T) {
 	env.Run()
 	if internalT != ftlT+cfg.InternalReadOverhead {
 		t.Fatalf("internal %v, want ftl %v + overhead %v", internalT, ftlT, cfg.InternalReadOverhead)
+	}
+}
+
+func TestWriteStatsShowsFTLActivity(t *testing.T) {
+	// The FTL keeps its RAIN counts in typed fields only; the -stats
+	// dump must still show them, and omit the ones that stayed zero.
+	env := sim.NewEnv()
+	cfg := DefaultConfig()
+	cfg.NAND.BlocksPerDie = 32
+	cfg.NAND.PagesPerBlock = 16
+	p := New(env, cfg)
+	env.Spawn("x", func(pr *sim.Proc) {
+		p.FTL.WriteRange(pr, 0, make([]byte, 4096))
+		p.FTL.SealStripe(pr)
+		p.InternalRead(pr, 0, 4096)
+	})
+	env.Run()
+	var b strings.Builder
+	p.WriteStats(&b)
+	out := b.String()
+	for _, want := range []string{"-- counters\n", "-- ftl\n", "ftl.rain.seal            1\n", "-- latencies\n", "dev.internal.read"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("stats dump lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "ftl.rain.reconstruct") {
+		t.Fatalf("zero FTL count printed:\n%s", out)
 	}
 }
 

@@ -155,7 +155,6 @@ type FTL struct {
 	fwTk   trace.TrackID // firmware fault-handling instants (retries, remaps)
 	rainTk trace.TrackID // RAIN seal/reconstruct/scrub spans (async: they overlap)
 	hists  *stats.Histograms
-	ctrs   *stats.Counters // platform mirror of RAIN/scrub counters
 
 	gFreeSB       *stats.Gauge // free superblocks (nil = telemetry off)
 	gGCDebt       *stats.Gauge // superblocks below the GC refill target
@@ -289,10 +288,6 @@ func (f *FTL) SetTracer(tr *trace.Tracer) {
 		f.rainTk = tr.Track("ftl/rain")
 	}
 }
-
-// SetCounters mirrors RAIN, scrub and recovery activity onto the
-// platform counter registry so -stats dumps include it. Nil disables.
-func (f *FTL) SetCounters(c *stats.Counters) { f.ctrs = c }
 
 // SetHists installs the registry receiving the GC-round duration
 // distribution ("ftl.gc.round"). Nil disables.
@@ -478,7 +473,6 @@ func (f *FTL) readRecover(p *sim.Proc, ppi, offset, length int) ([]byte, error) 
 		return nil, err
 	}
 	f.degradedReads++
-	f.ctrs.Add("ftl.rain.degraded", 1)
 	return page[offset : offset+length], nil
 }
 
@@ -1022,7 +1016,6 @@ func (f *FTL) moveData(p *sim.Proc, src int) bool {
 			f.l2p[lpn] = -1
 			f.lost[lpn] = true
 			f.lostPages++
-			f.ctrs.Add("ftl.rain.lost", 1)
 			f.tr.Instant(f.fwTk, "gc.dataloss").Arg("lpn", int64(lpn))
 			return true
 		}

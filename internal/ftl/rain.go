@@ -195,13 +195,11 @@ func (f *FTL) seal(p *sim.Proc, st *openStripe) {
 		// The members stay unprotected — reads fall back to the retry
 		// ladder alone — and the accumulator is abandoned.
 		f.parityFails++
-		f.ctrs.Add("ftl.rain.parityfail", 1)
 		f.tr.Instant(f.fwTk, "rain.parityfail")
 		return
 	}
 	f.parityWrites++
 	f.stripeSeals++
-	f.ctrs.Add("ftl.rain.seal", 1)
 	// Liveness is recomputed after the blocking program: members
 	// invalidated while the parity was in flight must not inflate it.
 	live = 0
@@ -236,7 +234,6 @@ func (f *FTL) dropStripe(sid int) {
 	f.stripes[sid] = nil
 	f.freeSid = append(f.freeSid, sid)
 	f.stripeDrops++
-	f.ctrs.Add("ftl.rain.drop", 1)
 }
 
 // blockHasOpenMember reports whether the block holds a member of a
@@ -338,7 +335,6 @@ func (f *FTL) reconstructOpen(p *sim.Proc, st *openStripe, ppi int) ([]byte, err
 		if e != nil {
 			sp.End()
 			f.reconstructFails++
-			f.ctrs.Add("ftl.rain.reconstructfail", 1)
 			f.tr.Instant(f.fwTk, "rain.reconstructfail")
 			return nil, fmt.Errorf("ftl: reconstruct open stripe %v: %w", f.ppa(ppi), e)
 		}
@@ -349,7 +345,6 @@ func (f *FTL) reconstructOpen(p *sim.Proc, st *openStripe, ppi int) ([]byte, err
 	f.fw.Exec(p, f.cfg.XORCyclesPerByte*float64(len(acc))*float64(len(pages)+1))
 	sp.End()
 	f.reconstructs++
-	f.ctrs.Add("ftl.rain.reconstruct", 1)
 	f.hists.Observe("ftl.rain.reconstruct", int64(p.Now()-start))
 	f.arr.Injector().Record(fault.Reconstruct, "ftl.rain "+f.ppa(ppi).String())
 	return acc, nil
@@ -368,7 +363,6 @@ func (f *FTL) reconstruct(p *sim.Proc, ppi int) ([]byte, error) {
 		// a protection failure: counted apart so the health monitor does
 		// not escalate on it.
 		f.reconstructUnstriped++
-		f.ctrs.Add("ftl.rain.unstriped", 1)
 		return nil, fmt.Errorf("ftl: page %v is not striped", f.ppa(ppi))
 	}
 	st := f.stripes[sid]
@@ -398,7 +392,6 @@ func (f *FTL) reconstruct(p *sim.Proc, ppi int) ([]byte, error) {
 	if err != nil {
 		sp.End()
 		f.reconstructFails++
-		f.ctrs.Add("ftl.rain.reconstructfail", 1)
 		f.tr.Instant(f.fwTk, "rain.reconstructfail")
 		return nil, fmt.Errorf("ftl: reconstruct %v: %w", f.ppa(ppi), err)
 	}
@@ -409,7 +402,6 @@ func (f *FTL) reconstruct(p *sim.Proc, ppi int) ([]byte, error) {
 	f.fw.Exec(p, f.cfg.XORCyclesPerByte*float64(len(out))*float64(len(pages)))
 	sp.End()
 	f.reconstructs++
-	f.ctrs.Add("ftl.rain.reconstruct", 1)
 	f.hists.Observe("ftl.rain.reconstruct", int64(p.Now()-start))
 	f.arr.Injector().Record(fault.Reconstruct, "ftl.rain "+f.ppa(ppi).String())
 	return out, nil
@@ -495,7 +487,6 @@ func (f *FTL) shrinkMembers(p *sim.Proc, sid int, drop []int) bool {
 	f.markParity(parity)
 	f.parityWrites++
 	f.stripeShrinks++
-	f.ctrs.Add("ftl.rain.shrink", 1)
 	return true
 }
 
@@ -711,7 +702,6 @@ func (f *FTL) ScrubStep(p *sim.Proc) bool {
 	defer sp.End()
 	pages, errs := f.readStripePages(p, srcs)
 	f.scrubStripes++
-	f.ctrs.Add("ftl.scrub.stripes", 1)
 	f.gScrub.Set(f.scrubStripes)
 	if f.stripes[sid] != st || st.seq != seq {
 		return true // mutated while reading; the next pass re-checks it
@@ -748,7 +738,6 @@ func (f *FTL) ScrubStep(p *sim.Proc) bool {
 		f.repairMember(p, sid, st, seq, srcs[i], i, pages)
 	default:
 		f.scrubLost++
-		f.ctrs.Add("ftl.scrub.lost", 1)
 		f.tr.Instant(f.fwTk, "scrub.lost")
 	}
 	return true
@@ -789,7 +778,6 @@ func (f *FTL) repairMember(p *sim.Proc, sid int, st *stripeRec, seq, ppi, bad in
 	nbm.valid++
 	f.l2p[lpn] = dst
 	f.scrubRepairs++
-	f.ctrs.Add("ftl.scrub.repairs", 1)
 	f.arr.Injector().Record(fault.ScrubRepair, "ftl.scrub "+f.ppa(ppi).String())
 	f.stripeAdd(p, dst, content, gcStream)
 }
@@ -826,6 +814,5 @@ func (f *FTL) rewriteParity(p *sim.Proc, sid int, st *stripeRec, seq int, member
 	f.markParity(dst)
 	f.parityWrites++
 	f.scrubParityFixes++
-	f.ctrs.Add("ftl.scrub.parityfix", 1)
 	f.arr.Injector().Record(fault.ScrubRepair, "ftl.scrub parity "+f.ppa(old).String())
 }

@@ -99,20 +99,16 @@ func (f *FTL) RebuildStep(p *sim.Proc) bool {
 			case mark >= 0:
 				if f.moveData(p, ppi) {
 					f.rebuildPages++
-					f.ctrs.Add("ftl.rebuild.pages", 1)
 				} else {
 					f.rebuildFails++
-					f.ctrs.Add("ftl.rebuild.fails", 1)
 				}
 				f.rebuildGauge()
 				return true
 			case mark == parityMark:
 				if f.relocateParity(p, ppi) {
 					f.rebuildParityMoves++
-					f.ctrs.Add("ftl.rebuild.parity", 1)
 				} else {
 					f.rebuildFails++
-					f.ctrs.Add("ftl.rebuild.fails", 1)
 				}
 				f.rebuildGauge()
 				return true
@@ -121,7 +117,6 @@ func (f *FTL) RebuildStep(p *sim.Proc) bool {
 			}
 		}
 		f.rebuildDies++
-		f.ctrs.Add("ftl.rebuild.dies", 1)
 		f.tr.Instant(f.fwTk, "rebuild.drained").Arg("die", int64(die))
 		f.rebuildCur = -1
 		f.rebuildPos = 0

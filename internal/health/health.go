@@ -1,9 +1,9 @@
 // Package health is the array's sim-time device-health monitor: it
-// watches each device's live gauge/counter stack — RAIN degraded reads,
-// hard reconstruction failures, lost pages, GC debt, host-interface
-// queue depth — and classifies the device Healthy → Degraded →
-// Critical with hysteresis. The monitor consumes the registries'
-// existing pre-mutation OnChange hooks (the same mechanism the
+// watches each device's live gauges and FTL RAIN counts — RAIN degraded
+// reads, hard reconstruction failures, lost pages, GC debt,
+// host-interface queue depth — and classifies the device Healthy →
+// Degraded → Critical with hysteresis. The monitor consumes the gauge
+// registry's existing pre-mutation OnChange hook (the same mechanism the
 // telemetry sampler rides), so it costs zero simulation events and its
 // transitions are schedule-invariant: evaluation happens on a fixed
 // sim-time tick grid, backfilled lazily from whatever mutation crosses
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"biscuit/internal/ftl"
 	"biscuit/internal/sim"
 	"biscuit/internal/stats"
 	"biscuit/internal/trace"
@@ -76,13 +77,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Probe is one device's signal bundle. Gauges and Ctrs are the
-// device's own registries (the monitor chains onto Gauges.OnChange);
-// DeadDies, when non-nil, reports how many dies the fault injector has
-// killed — the strongest signal, weighted straight to Critical.
+// Probe is one device's signal bundle. Gauges is the device's own
+// registry (the monitor chains onto Gauges.OnChange); Rain, when
+// non-nil, reports the device FTL's cumulative RAIN counts, whose
+// per-tick deltas are scored; DeadDies, when non-nil, reports how many
+// dies the fault injector has killed — the strongest signal, weighted
+// straight to Critical.
 type Probe struct {
 	Gauges   *stats.Gauges
-	Ctrs     *stats.Counters
+	Rain     func() ftl.RainStats
 	DeadDies func() int
 }
 
@@ -97,13 +100,12 @@ type Transition struct {
 }
 
 type devState struct {
-	name  string
-	probe Probe
-	state State
-	clean int // consecutive zero-score ticks (hysteresis)
-	// Counter left edges for per-tick deltas.
-	lastFails, lastLost, lastDegraded int64
-	tk                                trace.TrackID
+	name     string
+	probe    Probe
+	state    State
+	clean    int           // consecutive zero-score ticks (hysteresis)
+	lastRain ftl.RainStats // left edge for per-tick deltas
+	tk       trace.TrackID
 }
 
 // Monitor classifies attached devices on a shared sim-time tick grid.
@@ -222,21 +224,20 @@ func (m *Monitor) advance() {
 // that hit a second lost member, pages lost for good — weigh straight
 // past CriticalScore; degraded-read deltas and sustained GC debt /
 // queue depth accumulate toward DegradedScore. Benign unstriped
-// reconstruction misses ("ftl.rain.unstriped") are deliberately not
-// consulted — see the ReconstructFails split in internal/ftl.
+// reconstruction misses (RainStats.ReconstructUnstriped) are
+// deliberately not consulted — see the ReconstructFails split in
+// internal/ftl.
 func (m *Monitor) score(d *devState) int64 {
 	var s int64
 	if d.probe.DeadDies != nil && d.probe.DeadDies() > 0 {
 		s += m.cfg.DegradedScore
 	}
-	if c := d.probe.Ctrs; c != nil {
-		fails := c.Get("ftl.rain.reconstructfail")
-		lost := c.Get("ftl.rain.lost")
-		degraded := c.Get("ftl.rain.degraded")
-		s += (fails - d.lastFails) * m.cfg.CriticalScore
-		s += (lost - d.lastLost) * m.cfg.CriticalScore
-		s += (degraded - d.lastDegraded) * 2
-		d.lastFails, d.lastLost, d.lastDegraded = fails, lost, degraded
+	if d.probe.Rain != nil {
+		r := d.probe.Rain()
+		s += (r.ReconstructFails - d.lastRain.ReconstructFails) * m.cfg.CriticalScore
+		s += (r.LostPages - d.lastRain.LostPages) * m.cfg.CriticalScore
+		s += (r.DegradedReads - d.lastRain.DegradedReads) * 2
+		d.lastRain = r
 	}
 	if g := d.probe.Gauges; g != nil {
 		s += g.Get("ftl.gc.debt")

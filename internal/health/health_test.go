@@ -3,23 +3,30 @@ package health_test
 import (
 	"testing"
 
+	"biscuit/internal/ftl"
 	"biscuit/internal/health"
 	"biscuit/internal/sim"
 	"biscuit/internal/stats"
 )
 
-// rig is one attached device's registries plus the monitor watching it.
+// rig is one attached device's gauges and RAIN counts plus the monitor
+// watching it.
 type rig struct {
-	e *sim.Env
-	g *stats.Gauges
-	c *stats.Counters
-	m *health.Monitor
+	e    *sim.Env
+	g    *stats.Gauges
+	rain ftl.RainStats
+	m    *health.Monitor
 }
 
 func newRig(cfg health.Config) *rig {
-	r := &rig{e: sim.NewEnv(), g: stats.NewGauges(), c: stats.NewCounters()}
+	r := &rig{e: sim.NewEnv(), g: stats.NewGauges()}
 	r.m = health.NewMonitor(r.e, cfg)
 	return r
+}
+
+// probe is the rig device's probe; its Rain reads the rig's live counts.
+func (r *rig) probe() health.Probe {
+	return health.Probe{Gauges: r.g, Rain: func() ftl.RainStats { return r.rain }}
 }
 
 func TestMonitorBackfillsTicksAtBoundaries(t *testing.T) {
@@ -30,7 +37,7 @@ func TestMonitorBackfillsTicksAtBoundaries(t *testing.T) {
 	// first tick (10µs), even though the triggering mutation lands at
 	// 35µs.
 	r := newRig(health.Config{Interval: 10 * sim.Microsecond, DegradedScore: 4, CriticalScore: 100, ClearTicks: 5})
-	r.m.Attach("dev", health.Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("dev", r.probe())
 	debt := r.g.G("ftl.gc.debt")
 	r.e.Spawn("t", func(p *sim.Proc) {
 		debt.Set(5)
@@ -59,9 +66,9 @@ func TestMonitorHysteresis(t *testing.T) {
 	// the next tick; recovery then steps down one level per ClearTicks
 	// consecutive zero-score ticks: Critical -> Degraded -> Healthy.
 	r := newRig(health.Config{Interval: 10 * sim.Microsecond, DegradedScore: 4, CriticalScore: 100, ClearTicks: 3})
-	r.m.Attach("dev", health.Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("dev", r.probe())
 	r.e.Spawn("t", func(p *sim.Proc) {
-		r.c.Add("ftl.rain.reconstructfail", 1)
+		r.rain.ReconstructFails++
 		p.Sleep(100 * sim.Microsecond)
 	})
 	r.e.Run()
@@ -91,7 +98,9 @@ func TestMonitorDeadDiePinsDegraded(t *testing.T) {
 	// a die, rebuilt or not) — but a dead die alone is not Critical.
 	r := newRig(health.Config{Interval: 10 * sim.Microsecond, DegradedScore: 4, CriticalScore: 100, ClearTicks: 2})
 	dead := 0
-	r.m.Attach("dev", health.Probe{Gauges: r.g, Ctrs: r.c, DeadDies: func() int { return dead }})
+	probe := r.probe()
+	probe.DeadDies = func() int { return dead }
+	r.m.Attach("dev", probe)
 	r.e.Spawn("t", func(p *sim.Proc) {
 		dead = 1
 		p.Sleep(200 * sim.Microsecond)
@@ -112,7 +121,7 @@ func TestMonitorSharedGridOrdersDevices(t *testing.T) {
 	// log (and its signature) schedule-invariant.
 	r := newRig(health.Config{Interval: 10 * sim.Microsecond, DegradedScore: 4, CriticalScore: 100, ClearTicks: 5})
 	g2 := stats.NewGauges()
-	r.m.Attach("a", health.Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("a", r.probe())
 	r.m.Attach("b", health.Probe{Gauges: g2})
 	r.e.Spawn("t", func(p *sim.Proc) {
 		r.g.G("ftl.gc.debt").Set(9)
@@ -134,9 +143,9 @@ func TestMonitorIgnoresUnstripedMisses(t *testing.T) {
 	// Benign reconstruction misses on pages RAIN never covered must not
 	// move the score — only real protection failures escalate.
 	r := newRig(health.Config{Interval: 10 * sim.Microsecond, DegradedScore: 4, CriticalScore: 100, ClearTicks: 5})
-	r.m.Attach("dev", health.Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("dev", r.probe())
 	r.e.Spawn("t", func(p *sim.Proc) {
-		r.c.Add("ftl.rain.unstriped", 50)
+		r.rain.ReconstructUnstriped += 50
 		p.Sleep(100 * sim.Microsecond)
 	})
 	r.e.Run()
@@ -152,9 +161,9 @@ func TestMonitorIgnoresUnstripedMisses(t *testing.T) {
 // hysteresisRun drives one fixed scenario and returns the signature.
 func hysteresisRun(burst int64) uint64 {
 	r := newRig(health.Config{Interval: 10 * sim.Microsecond, DegradedScore: 4, CriticalScore: 100, ClearTicks: 3})
-	r.m.Attach("dev", health.Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("dev", r.probe())
 	r.e.Spawn("t", func(p *sim.Proc) {
-		r.c.Add("ftl.rain.degraded", burst)
+		r.rain.DegradedReads += burst
 		p.Sleep(20 * sim.Microsecond)
 		r.g.G("ftl.gc.debt").Set(0)
 		p.Sleep(80 * sim.Microsecond)

@@ -42,7 +42,7 @@ const DefaultQueueCap = 32
 
 // TenantConfig describes one tenant of the serving window.
 type TenantConfig struct {
-	// Name labels the tenant's counters ("tenant.<name>."), histograms
+	// Name labels the tenant's backlog gauge ("tenant.<name>.backlog")
 	// and trace track ("tenant/<name>").
 	Name string
 	// Workload names a built-in query plan: "q6", "q1" or "qpoint".
@@ -130,8 +130,6 @@ type Server struct {
 	MS     *biscuit.MultiSystem
 	DBs    []*db.Database
 	Datas  []*tpch.Data
-	Ctrs   *stats.Counters
-	Hists  *stats.Histograms
 	Gauges *stats.Gauges
 
 	// Monitor is the device-health classifier, non-nil under Cfg.Heal.
@@ -221,7 +219,6 @@ type tenant struct {
 	migrations int
 	errors     int
 
-	ctrs     *stats.PrefixedCounters
 	lat      *stats.Histogram
 	gBacklog *stats.Gauge
 	track    trace.TrackID
@@ -283,8 +280,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		Cfg:    cfg,
 		MS:     biscuit.NewMultiSystemConfigs(base, cfg.Devices, per),
-		Ctrs:   stats.NewCounters(),
-		Hists:  stats.NewHistograms(),
 		Gauges: stats.NewGauges(),
 		policy: pol,
 	}
@@ -339,7 +334,7 @@ func (s *Server) buildMonitor() {
 		dies := sys.Plat.Cfg.NAND.Dies()
 		s.Monitor.Attach(fmt.Sprintf("ssd%d", i), health.Probe{
 			Gauges: sys.Plat.Gauges,
-			Ctrs:   sys.Plat.Ctrs,
+			Rain:   sys.Plat.FTL.Rain,
 			DeadDies: func() int {
 				n := 0
 				for d := 0; d < dies; d++ {
@@ -361,7 +356,6 @@ func (s *Server) buildMonitor() {
 // in-flight queries drain.
 func (s *Server) onHealth(dev int, from, to health.State) {
 	s.healthTransitions++
-	s.Ctrs.Add("serve.health.transitions", 1)
 	if to < health.Degraded || !s.Cfg.Migrate {
 		return
 	}
@@ -440,8 +434,7 @@ func (s *Server) buildTenants() error {
 			idx:      ti,
 			wl:       wl,
 			devices:  devs,
-			ctrs:     s.Ctrs.Prefixed("tenant." + tc.Name + "."),
-			lat:      s.Hists.H("tenant." + tc.Name + ".sojourn_ns"),
+			lat:      stats.NewHistogram(),
 			gBacklog: s.Gauges.G("tenant." + tc.Name + ".backlog"),
 			rows:     newHash64(),
 		}
@@ -543,7 +536,6 @@ func (s *Server) spawnDieFail(h *biscuit.MultiHost) {
 	h.Go("diefail", func(h2 *biscuit.MultiHost) {
 		h2.Proc().Sleep(s.Cfg.FailAt)
 		s.MS.Systems[s.Cfg.FailDevice].Plat.Inj.FailDie(s.Cfg.FailDie)
-		s.Ctrs.Add("serve.diefail", 1)
 		s.tr.Instant(s.schedTk, "diefail").
 			Arg("dev", int64(s.Cfg.FailDevice)).Arg("die", int64(s.Cfg.FailDie))
 	})
@@ -562,7 +554,6 @@ func (s *Server) spawnArrivals(h *biscuit.MultiHost, t *tenant) {
 				t.rejected++
 				s.rejected++
 				s.gRejected.Add(1)
-				t.ctrs.Add("rejected", 1)
 				s.tr.Instant(t.track, "reject").Arg("seq", int64(seq))
 			} else {
 				req := &request{t: t, seq: seq, arrive: p.Now(), deadline: p.Now() + t.cfg.SLO}
@@ -570,7 +561,6 @@ func (s *Server) spawnArrivals(h *biscuit.MultiHost, t *tenant) {
 				t.queue = append(t.queue, req)
 				t.gBacklog.Add(1)
 				t.admitted++
-				t.ctrs.Add("admitted", 1)
 			}
 			s.wake.Fire()
 		}
@@ -625,8 +615,6 @@ func (s *Server) cutover(p *sim.Proc, t *tenant) {
 		t.shardDev[k] = to
 		t.shardRepl[k] = true
 		t.migrations++
-		t.ctrs.Add("migrations", 1)
-		s.Ctrs.Add("serve.migrations", 1)
 		s.migrations = append(s.migrations, MigrationRecord{
 			Tenant: t.cfg.Name, Shard: k, FromDev: from, ToDev: to,
 			AtNs: int64(p.Now()), AfterSeq: len(s.dispatchSeq),
@@ -652,13 +640,10 @@ func (s *Server) dispatch(h *biscuit.MultiHost, req *request) {
 		now := h2.Now()
 		t.completed++
 		s.completed++
-		t.ctrs.Add("completed", 1)
 		if err != nil {
 			t.errors++
-			t.ctrs.Add("errors", 1)
 			t.rows.write("error:" + err.Error())
 		} else {
-			t.ctrs.Add("rows", int64(len(rows)))
 			for _, r := range rows {
 				for _, v := range r {
 					t.rows.write(v.String())
@@ -667,7 +652,6 @@ func (s *Server) dispatch(h *biscuit.MultiHost, req *request) {
 		}
 		if now > req.deadline {
 			t.misses++
-			t.ctrs.Add("deadline_miss", 1)
 		}
 		t.lat.Record(int64(now - req.arrive))
 		req.span.End()
@@ -726,7 +710,7 @@ func (s *Server) runShard(h *biscuit.MultiHost, req *request, dev int, replica b
 	rng := biscuit.SeededRand(s.Cfg.Seed ^ int64(req.t.idx+1)<<40 ^ int64(req.seq+1)<<8 ^ int64(dev+1))
 	return req.t.wl.runShard(&shardCtx{
 		host: h.Unit(dev), ex: ex, data: data, rng: rng,
-		replica: replica, ctrs: req.t.ctrs,
+		replica: replica,
 	})
 }
 

@@ -3,9 +3,11 @@ package stats
 import "sort"
 
 // Counters is a small named-counter registry for operational events the
-// evaluation wants visible alongside its timing results — fault-path
-// events in particular (fallbacks engaged, retries absorbed, blocks
-// retired). Names are free-form dotted strings ("db.ndp.fallback").
+// evaluation wants visible alongside its timing results — the database's
+// scan events (Conv/NDP scans, NDP→Conv fallbacks, pages over the link).
+// Names are free-form dotted strings ("db.ndp.fallback"). Components
+// with typed counters (the FTL's RAIN, scrub and rebuild counts) keep
+// them there and are not mirrored here.
 //
 // It is deliberately simulation-grade, not production-grade: no atomics
 // (the sim kernel serializes all processes) and deterministic snapshot
@@ -51,44 +53,4 @@ func (c *Counters) Snapshot() []NamedCount {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// PrefixedCounters is a view of a Counters registry that prepends a
-// fixed prefix (conventionally ending in ".") to every name, so a
-// multi-tenant component can hand each tenant its own namespace
-// ("tenant.acme.") over one shared registry. A view of a nil registry
-// is usable and ignores Add like the registry itself.
-type PrefixedCounters struct {
-	c      *Counters
-	prefix string
-}
-
-// Prefixed returns a view of c under prefix. Views nest by
-// concatenation: c.Prefixed("a.").Prefixed("b.") counts under "a.b.".
-func (c *Counters) Prefixed(prefix string) *PrefixedCounters {
-	return &PrefixedCounters{c: c, prefix: prefix}
-}
-
-// Prefixed derives a nested view.
-func (p *PrefixedCounters) Prefixed(prefix string) *PrefixedCounters {
-	if p == nil {
-		return &PrefixedCounters{prefix: prefix}
-	}
-	return &PrefixedCounters{c: p.c, prefix: p.prefix + prefix}
-}
-
-// Add increments prefix+name by n.
-func (p *PrefixedCounters) Add(name string, n int64) {
-	if p == nil {
-		return
-	}
-	p.c.Add(p.prefix+name, n)
-}
-
-// Get returns the current value of prefix+name.
-func (p *PrefixedCounters) Get(name string) int64 {
-	if p == nil {
-		return 0
-	}
-	return p.c.Get(p.prefix + name)
 }

@@ -60,29 +60,28 @@ func TestCountersSnapshotStable(t *testing.T) {
 	}
 }
 
-func TestPrefixedCounters(t *testing.T) {
+// A snapshot taken mid-window stays immutable while the serving window
+// keeps adding to the same names.
+func TestCountersSnapshotStableUnderMutation(t *testing.T) {
 	c := NewCounters()
-	tenant := c.Prefixed("tenant.acme.")
-	tenant.Add("completed", 2)
-	tenant.Prefixed("q6.").Add("rows", 5)
-	if got := c.Get("tenant.acme.completed"); got != 2 {
-		t.Fatalf("prefixed add landed at %d, want 2", got)
+	c.Add("tenant.bolt.admitted", 5)
+	c.Add("tenant.bolt.rejected", 1)
+	snap := c.Snapshot()
+	c.Add("tenant.bolt.admitted", 100)
+	c.Add("tenant.bolt.rejected", 100)
+	for _, nc := range snap {
+		switch nc.Name {
+		case "tenant.bolt.admitted":
+			if nc.Value != 5 {
+				t.Fatalf("snapshot admitted moved to %d, want 5", nc.Value)
+			}
+		case "tenant.bolt.rejected":
+			if nc.Value != 1 {
+				t.Fatalf("snapshot rejected moved to %d, want 1", nc.Value)
+			}
+		}
 	}
-	if got := tenant.Get("completed"); got != 2 {
-		t.Fatalf("prefixed get = %d, want 2", got)
-	}
-	if got := c.Get("tenant.acme.q6.rows"); got != 5 {
-		t.Fatalf("nested prefix add landed at %d, want 5", got)
-	}
-	var nilC *Counters
-	v := nilC.Prefixed("x.")
-	v.Add("y", 1) // must not panic
-	if v.Get("y") != 0 {
-		t.Fatal("view of nil registry must read 0")
-	}
-	var nilView *PrefixedCounters
-	nilView.Add("z", 1)
-	if nilView.Get("z") != 0 || nilView.Prefixed("w.").Get("z") != 0 {
-		t.Fatal("nil view must be inert")
+	if len(snap) != 2 {
+		t.Fatalf("snapshot has %d entries, want 2", len(snap))
 	}
 }

@@ -143,26 +143,19 @@ func TestHistogramRecordNoAllocs(t *testing.T) {
 	}
 }
 
-func TestPrefixedHistograms(t *testing.T) {
+func TestHistogramsSnapshotStableUnderMutation(t *testing.T) {
 	hs := NewHistograms()
-	tenant := hs.Prefixed("tenant.acme.")
-	tenant.Observe("latency", 100)
-	tenant.H("latency").Record(300)
-	if got := hs.Get("tenant.acme.latency").Count(); got != 2 {
-		t.Fatalf("prefixed observations landed at count %d, want 2", got)
+	hs.Observe("hostif.read", 1000)
+	hs.Observe("hostif.read", 3000)
+	snap := hs.Snapshot()
+	hs.Observe("hostif.read", 1_000_000) // the window keeps serving
+	if len(snap) != 1 {
+		t.Fatalf("snapshot has %d entries, want 1", len(snap))
 	}
-	if tenant.Get("latency") != hs.Get("tenant.acme.latency") {
-		t.Fatal("prefixed Get must resolve the same histogram")
+	if got := snap[0].Summary.Count; got != 2 {
+		t.Fatalf("snapshot count moved to %d, want 2", got)
 	}
-	var nilHS *Histograms
-	v := nilHS.Prefixed("x.")
-	v.Observe("y", 1)
-	if v.H("y") != nil || v.Get("y") != nil {
-		t.Fatal("view of nil registry must stay nil")
-	}
-	var nilView *PrefixedHistograms
-	nilView.Observe("z", 1)
-	if nilView.H("z") != nil || nilView.Get("z") != nil {
-		t.Fatal("nil view must be inert")
+	if got := hs.Get("hostif.read").Count(); got != 3 {
+		t.Fatalf("live histogram count = %d, want 3", got)
 	}
 }
