@@ -9,7 +9,7 @@ VETTOOL := bin/biscuitvet
 # dangerous kind.
 TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/...
 
-.PHONY: all build test race racefault vet vet-fix fmt check faulttest faultbench healbench benchsmoke benchgate bless-bench servebench tracesmoke telemetrysmoke perfbenchtest clean
+.PHONY: all build test race racefault vet vet-fix fmt check faulttest fuzzsmoke faultbench healbench benchsmoke benchgate bless-bench servebench tracesmoke telemetrysmoke perfbenchtest clean
 
 all: build
 
@@ -34,8 +34,7 @@ racefault:
 
 # Failure-path suite (DESIGN.md "Fault model"): the fault engine's own
 # tests plus every fault/corruption/retry/degradation test across the
-# stack, run twice to catch schedule nondeterminism, then a short fuzz
-# smoke of the fault-plan parser.
+# stack, run twice to catch schedule nondeterminism.
 FAULTRUN := 'Fault|Corrupt|Retr|Retir|Timeout|Stall|FallsBack|MediaError|Erase|Unmapped|Backoff|ProgramFailure|GCRelocation|ReadThrough|Q1Q6|SearchCounts|Reconstruct|Scrub|Rain|Parity|DieFail'
 FAULTPKGS := ./internal/ftl/... ./internal/hostif/... ./internal/isfs/... \
 	./internal/db ./internal/tpch/... ./internal/weblog/... ./internal/bench
@@ -43,7 +42,13 @@ FAULTPKGS := ./internal/ftl/... ./internal/hostif/... ./internal/isfs/... \
 faulttest:
 	$(GO) test -count=2 ./internal/fault/...
 	$(GO) test -count=2 -run $(FAULTRUN) $(FAULTPKGS)
-	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
+
+# Fuzz smoke: 10 s each of the fault-plan parser and of the matcher's
+# chunked stream against a whole-text scan. go test -fuzz takes one
+# package and one target per run.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime=10s ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamEqualsWholeScan$$' -fuzztime=10s ./internal/match
 
 # Heal bench (DESIGN.md "Self-healing"): the availability-vs-repair
 # curve — die failure time x rebuild pacing x migration on/off — as
@@ -62,18 +67,19 @@ faultbench:
 	$(GO) run ./cmd/biscuitbench -exp faultcurve -quick -json bench-out -trace bench-out/faultcurve.trace.json
 	for f in bench-out/faultcurve.trace.json*; do $(GO) run ./cmd/tracecheck $$f || exit 1; done
 
-# Benchmark smoke: run the executor, DES-core, proc-wake, and
-# fiber-switch benchmarks once (-benchtime=1x) so CI catches bit-rot in
+# Benchmark smoke: run the executor, DES-core, proc-wake, fiber-switch
+# and matcher benchmarks once (-benchtime=1x) so CI catches bit-rot in
 # the benchmark harness without paying for a real measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch' \
-		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers
+	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch|BenchmarkContains|BenchmarkFeed' \
+		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers ./internal/match
 
 # Serve bench (DESIGN.md "Array serving layer"): the multi-tenant
 # serving curve — per-tenant throughput and tail latency vs offered
 # load × device count × scheduling policy — as BENCH_servecurve.json,
 # plus one traced serving window: rerun with the same seed, compared
-# byte-for-byte, and validated by tracecheck. Every field of the curve
+# byte-for-byte, and validated by tracecheck; the first run's -stats
+# output must hold a per-device section. Every field of the curve
 # is simulated-time deterministic, so benchgate compares it exactly
 # against baselines/BENCH_servecurve.json.
 SERVETRACE := -devices 2 -tenants 2 -sf 0.002 -rate 150 -window 200 -seed 7
@@ -81,7 +87,8 @@ SERVETRACE := -devices 2 -tenants 2 -sf 0.002 -rate 150 -window 200 -seed 7
 servebench:
 	mkdir -p bench-out
 	$(GO) run ./cmd/biscuitbench -exp servecurve -json bench-out
-	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.trace.json > /dev/null
+	$(GO) run ./cmd/sqlssd $(SERVETRACE) -stats -trace bench-out/serve.trace.json > bench-out/serve.stats.txt
+	grep -q '^-- device 1$$' bench-out/serve.stats.txt
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.rerun.trace.json > /dev/null
 	cmp bench-out/serve.trace.json bench-out/serve.rerun.trace.json
 	$(GO) run ./cmd/tracecheck bench-out/serve.trace.json

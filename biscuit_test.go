@@ -221,6 +221,78 @@ func TestScannerFindsCrossPageMatches(t *testing.T) {
 	}
 }
 
+// TestScannerChunkHits checks ScanChunks mode: a ChunkHit is emitted for
+// exactly the chunks that hold a whole key, as a host-side bytes.Contains
+// over each page marks them; a match straddling a page seam marks
+// neither page it touches (it still counts in the summary).
+func TestScannerChunkHits(t *testing.T) {
+	sys := NewSystem(quickConfig())
+	ps := sys.Plat.FTL.PageSize()
+	keys := []string{"SEAMKEY", "OTHER"}
+	text := bytes.Repeat([]byte{'x'}, 5*ps)
+	copy(text[ps-3:], "SEAMKEY") // straddles the page 0/1 seam
+	copy(text[2*ps+100:], "OTHER")
+	copy(text[4*ps+7:], "SEAMKEY")
+	var pkts []Packet
+	sys.Run(func(h *Host) {
+		ssd := h.SSD()
+		f, _ := ssd.CreateFile("chunks")
+		ssd.WriteFile(f, 0, text)
+		mid, _ := ssd.LoadModule(BuiltinModule)
+		app := ssd.NewApplication()
+		sc, _ := app.NewSSDLet(mid, ScannerID, ScanArgs{File: "chunks", Keys: keys, Mode: ScanChunks})
+		port, _ := ConnectTo[Packet](app, sc.Out(0))
+		app.Start()
+		for {
+			p, ok := port.GetPacket()
+			if !ok {
+				break
+			}
+			pkts = append(pkts, p)
+		}
+		app.Wait()
+		if errs := app.Failed(); len(errs) > 0 {
+			t.Fatalf("failures: %v", errs)
+		}
+	})
+	if len(pkts) == 0 {
+		t.Fatal("no output")
+	}
+	// The summary comes last; every packet before it is a ChunkHit.
+	res, err := Decode[ScanResult](pkts[len(pkts)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Matches != 3 {
+		t.Fatalf("matches=%d, want 3", res.Matches)
+	}
+	got := map[int64]bool{}
+	for _, p := range pkts[:len(pkts)-1] {
+		hit, err := Decode[ChunkHit](p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit.Len != ps || got[hit.Off] {
+			t.Fatalf("hit %+v: want one page-sized hit per chunk (page %d B)", hit, ps)
+		}
+		got[hit.Off] = true
+	}
+	want := map[int64]bool{}
+	for off := 0; off < len(text); off += ps {
+		for _, k := range keys {
+			if bytes.Contains(text[off:off+ps], []byte(k)) {
+				want[int64(off)] = true
+			}
+		}
+	}
+	if len(want) != 2 || !want[int64(2*ps)] || !want[int64(4*ps)] {
+		t.Fatalf("reference marks %v; test text is laid out wrong", want)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("chunk hits %v, host reference %v", got, want)
+	}
+}
+
 func TestScannerRejectsOverLimitKeys(t *testing.T) {
 	sys := NewSystem(quickConfig())
 	sys.Run(func(h *Host) {

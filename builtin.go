@@ -91,7 +91,9 @@ func (scannerLet) Run(c *Context) error {
 	scan := c.ScanFile(f, 0, int(f.Size()), func(off int64, data []byte) {
 		s := a.NewStream()
 		s.Reset(off)
+		inChunk := 0 // a fresh stream emits only matches inside data
 		s.Feed(data, func(m match.Match) {
+			inChunk++
 			res.Matches++
 			if args.Mode == ScanPositions {
 				res.Positions = append(res.Positions, m.Pos)
@@ -106,7 +108,7 @@ func (scannerLet) Run(c *Context) error {
 			head: append([]byte(nil), data[:keep]...),
 			len:  len(data),
 		}
-		if args.Mode == ScanChunks && !portClosed && a.Contains(data) {
+		if args.Mode == ScanChunks && !portClosed && inChunk > 0 {
 			pkt, perr := ports.Encode(ChunkHit{Off: off, Len: len(data)})
 			if perr != nil {
 				encodeErr = perr

@@ -58,7 +58,7 @@ func main() {
 	flag.Parse()
 
 	if *devices > 1 || *tenants > 0 || *heal {
-		serveMain(*devices, *tenants, *rate, *windowMs, *policy, *sf, *seed, *faultArg, *traceOut, *sampleUs, *rainW, *heal)
+		serveMain(*devices, *tenants, *rate, *windowMs, *policy, *sf, *seed, *faultArg, *traceOut, *sampleUs, *rainW, *heal, *stats)
 		return
 	}
 
@@ -221,7 +221,8 @@ func printTelemetry(sampler *telemetry.Sampler) {
 // every device of the array. With -heal the self-healing stack runs and
 // a die on device 0 dies at 40% of the window, so the health monitor,
 // rebuild fiber and (on >1 device) tenant migration all have work.
-func serveMain(devices, tenants int, rate float64, windowMs int, policy string, sf float64, seed int64, faultArg, traceOut string, sampleUs int64, rainW int, heal bool) {
+// With -stats each device's platform stats follow the report.
+func serveMain(devices, tenants int, rate float64, windowMs int, policy string, sf float64, seed int64, faultArg, traceOut string, sampleUs int64, rainW int, heal, stats bool) {
 	if devices < 1 {
 		fmt.Fprintln(os.Stderr, "sqlssd: -devices must be >= 1")
 		os.Exit(2)
@@ -318,6 +319,12 @@ func serveMain(devices, tenants int, rate float64, windowMs int, policy string, 
 		for _, sum := range rep.Telemetry {
 			fmt.Printf("   %-28s samples=%-7d min=%-8d mean=%-8d max=%-8d digest=%s\n",
 				sum.Name, sum.Samples, sum.Min, sum.Mean, sum.Max, sum.Digest)
+		}
+	}
+	if stats {
+		for i, sys := range s.MS.Systems {
+			fmt.Printf("\n-- device %d\n", i)
+			sys.Plat.WriteStats(os.Stdout)
 		}
 	}
 	if traceOut != "" {

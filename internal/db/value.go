@@ -64,10 +64,32 @@ func DecF(f float64) Value {
 // Str builds a string value.
 func Str(s string) Value { return Value{T: TString, S: s} }
 
-// DateYMD builds a date value from calendar components.
+// DateYMD builds a date value from calendar components. Out-of-range
+// months and days normalise as time.Date does: the month carries into
+// the year, then d-1 days are added to the 1st of that month.
 func DateYMD(y, m, d int) Value {
-	t := time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)
-	return Value{T: TDate, I: int64(t.Unix() / 86400)}
+	carry := floorDiv(m-1, 12)
+	y, m = y+carry, m-12*carry
+	// Hinnant's days-from-civil: years start on 1 March, so the leap day
+	// ends the year, and repeat every 400-year era of 146097 days.
+	if m <= 2 {
+		y--
+	}
+	era := floorDiv(y, 400)
+	yoe := y - era*400
+	doy := (153*((m+9)%12) + 2) / 5 // days from 1 March to the 1st of m
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	const epoch = 719468 // days from 0000-03-01 to 1970-01-01
+	return Value{T: TDate, I: int64(era*146097 + doe - epoch + d - 1)}
+}
+
+// floorDiv is a/b rounded toward negative infinity, for b > 0.
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
 }
 
 // MustDate parses "YYYY-MM-DD".

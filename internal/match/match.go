@@ -3,14 +3,15 @@
 // keywords of at most 16 bytes each, §IV-A/§V-A) and the host-software
 // baseline (Boyer–Moore–Horspool, as used by Linux grep in §V-C).
 //
-// The hardware IP's *results* are computed exactly by a streaming
-// Aho–Corasick automaton fed page-sized chunks in file order, so matches
-// spanning chunk boundaries are found; its *timing* is modeled where the
-// data moves (nand.ReadThrough charges channel-rate streaming plus the
-// IP-control overhead).
+// The hardware IP's *results* are computed exactly by a per-key search
+// over page-sized chunks fed in file order; each stream carries its
+// last bytes, one short of the longest key, across chunk boundaries, so
+// matches spanning them are found. Its *timing* is modeled where the data moves (nand.ReadThrough
+// charges channel-rate streaming plus the IP-control overhead).
 package match
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -47,94 +48,26 @@ func ValidateHW(keys [][]byte) error {
 	return nil
 }
 
-// Automaton is an Aho–Corasick multi-pattern matcher.
+// Automaton is the matcher IP's key set. It finds every occurrence of
+// every key, overlapping ones included, by searching for each key in
+// turn with the standard library's vectorised bytes.Index.
 type Automaton struct {
-	keys [][]byte
-	// Dense transition table: next[state][b]. Small for hardware-sized
-	// key sets.
-	next   [][256]int32
-	output [][]int32 // key indexes ending at this state
+	keys   [][]byte
+	maxLen int
 }
 
-// Compile builds an automaton over keys. Keys are matched as raw bytes
+// Compile builds a matcher over keys. Keys are matched as raw bytes
 // (case-sensitive), like the hardware IP.
 func Compile(keys [][]byte) (*Automaton, error) {
 	if len(keys) == 0 {
 		return nil, ErrEmptyKey
 	}
+	a := &Automaton{keys: keys}
 	for i, k := range keys {
 		if len(k) == 0 {
 			return nil, fmt.Errorf("%w (key %d)", ErrEmptyKey, i)
 		}
-	}
-	a := &Automaton{keys: keys}
-	// Trie construction.
-	type node struct {
-		children map[byte]int32
-		fail     int32
-		out      []int32
-	}
-	nodes := []*node{{children: map[byte]int32{}}}
-	for ki, k := range keys {
-		cur := int32(0)
-		for _, b := range k {
-			nxt, ok := nodes[cur].children[b]
-			if !ok {
-				nxt = int32(len(nodes))
-				nodes = append(nodes, &node{children: map[byte]int32{}})
-				nodes[cur].children[b] = nxt
-			}
-			cur = nxt
-		}
-		nodes[cur].out = append(nodes[cur].out, int32(ki))
-	}
-	// Failure links via BFS.
-	queue := make([]int32, 0, len(nodes))
-	for _, c := range nodes[0].children {
-		nodes[c].fail = 0
-		queue = append(queue, c)
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for b, v := range nodes[u].children {
-			// Walk the failure chain of u until a state with a b-child
-			// exists; that child is v's failure target.
-			f := nodes[u].fail
-			for {
-				if w, ok := nodes[f].children[b]; ok && w != v {
-					nodes[v].fail = w
-					break
-				}
-				if f == 0 {
-					nodes[v].fail = 0
-					break
-				}
-				f = nodes[f].fail
-			}
-			nodes[v].out = append(nodes[v].out, nodes[nodes[v].fail].out...)
-			queue = append(queue, v)
-		}
-	}
-	// Dense goto function.
-	a.next = make([][256]int32, len(nodes))
-	a.output = make([][]int32, len(nodes))
-	for s := range nodes {
-		a.output[s] = nodes[s].out
-		for b := 0; b < 256; b++ {
-			cur := int32(s)
-			for {
-				if w, ok := nodes[cur].children[byte(b)]; ok {
-					a.next[s][b] = w
-					break
-				}
-				if cur == 0 {
-					a.next[s][b] = 0
-					break
-				}
-				cur = nodes[cur].fail
-			}
-		}
+		a.maxLen = max(a.maxLen, len(k))
 	}
 	return a, nil
 }
@@ -154,7 +87,7 @@ func MustCompile(keys ...string) *Automaton {
 
 // CompileHW compiles string keys for the hardware matcher IP: it
 // rejects key sets outside the IP's limits (ValidateHW) before building
-// the automaton, so device tasks fail on the same keys the silicon
+// the matcher, so device tasks fail on the same keys the silicon
 // would refuse.
 func CompileHW(keys []string) (*Automaton, error) {
 	bs := make([][]byte, len(keys))
@@ -177,21 +110,23 @@ type Match struct {
 	Key int
 }
 
-// Stream feeds data through the automaton chunk by chunk, preserving
-// state across chunk boundaries — exactly what the per-channel IP does
-// as pages fly by.
+// Stream feeds data through the matcher chunk by chunk, finding
+// matches that span chunk boundaries — exactly what the per-channel IP
+// does as pages fly by.
 type Stream struct {
-	a     *Automaton
-	state int32
-	pos   int64
+	a    *Automaton
+	pos  int64
+	tail []byte // the last maxLen-1 bytes consumed since the last Reset
 }
 
 // NewStream starts a fresh scan at stream offset 0.
-func (a *Automaton) NewStream() *Stream { return &Stream{a: a} }
+func (a *Automaton) NewStream() *Stream {
+	return &Stream{a: a, tail: make([]byte, 0, a.maxLen-1)}
+}
 
 // Reset rewinds the stream to offset off with cleared state.
 func (s *Stream) Reset(off int64) {
-	s.state = 0
+	s.tail = s.tail[:0]
 	s.pos = off
 }
 
@@ -199,39 +134,60 @@ func (s *Stream) Reset(off int64) {
 func (s *Stream) Pos() int64 { return s.pos }
 
 // Feed scans chunk, invoking emit for each key occurrence (start
-// offset). Matches spanning the previous chunk's tail are reported with
-// their true start position.
+// offset). A match is reported once, by the Feed whose chunk holds its
+// last byte, with its true start position even when it began in an
+// earlier chunk. Matches are emitted key by key, not in stream order;
+// callers count them or sort their positions.
 func (s *Stream) Feed(chunk []byte, emit func(Match)) {
-	st := s.state
-	a := s.a
-	for i, b := range chunk {
-		st = a.next[st][b]
-		if outs := a.output[st]; len(outs) > 0 {
-			end := s.pos + int64(i) + 1
-			for _, ki := range outs {
-				emit(Match{Pos: end - int64(len(a.keys[ki])), Key: int(ki)})
+	// Seam: matches starting in the carried tail and ending in chunk.
+	for i := range s.tail {
+		rest := s.tail[i:]
+		for ki, k := range s.a.keys {
+			if len(k) > len(rest) && bytes.HasPrefix(k, rest) && bytes.HasPrefix(chunk, k[len(rest):]) {
+				emit(Match{Pos: s.pos - int64(len(rest)), Key: ki})
 			}
 		}
 	}
-	s.state = st
+	for ki, k := range s.a.keys {
+		forEach(chunk, k, func(i int) { emit(Match{Pos: s.pos + int64(i), Key: ki}) })
+	}
+	// Carry the last maxLen-1 bytes of tail+chunk into the next Feed.
+	keep := s.a.maxLen - 1
+	if len(chunk) >= keep {
+		s.tail = append(s.tail[:0], chunk[len(chunk)-keep:]...)
+	} else {
+		old := s.tail[max(0, len(s.tail)+len(chunk)-keep):]
+		s.tail = append(s.tail[:copy(s.tail, old)], chunk...)
+	}
 	s.pos += int64(len(chunk))
 }
 
-// Count scans text once and returns the total number of occurrences of
-// all keys.
+// forEach calls fn with the offset of every occurrence of key in text,
+// overlapping occurrences included.
+func forEach(text, key []byte, fn func(int)) {
+	for i := 0; ; i++ {
+		j := bytes.Index(text[i:], key)
+		if j < 0 {
+			return
+		}
+		i += j
+		fn(i)
+	}
+}
+
+// Count returns the total number of occurrences of all keys in text.
 func (a *Automaton) Count(text []byte) int {
 	n := 0
-	s := a.NewStream()
-	s.Feed(text, func(Match) { n++ })
+	for _, k := range a.keys {
+		forEach(text, k, func(int) { n++ })
+	}
 	return n
 }
 
 // Contains reports whether any key occurs in text.
 func (a *Automaton) Contains(text []byte) bool {
-	st := int32(0)
-	for _, b := range text {
-		st = a.next[st][b]
-		if len(a.output[st]) > 0 {
+	for _, k := range a.keys {
+		if bytes.Contains(text, k) {
 			return true
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -212,5 +214,89 @@ func TestCompileHW(t *testing.T) {
 	}
 	if _, err := CompileHW([]string{"seventeen bytes!!"}); !errors.Is(err, ErrKeyTooLong) {
 		t.Fatalf("err=%v", err)
+	}
+}
+
+// naiveMatches is the reference matcher: bytes.Equal at every offset for
+// every key, shared with no code under test. It returns the (Pos, Key)
+// multiset as a count per occurrence.
+func naiveMatches(text []byte, keys [][]byte) map[Match]int {
+	got := map[Match]int{}
+	for ki, k := range keys {
+		for i := 0; i+len(k) <= len(text); i++ {
+			if bytes.Equal(text[i:i+len(k)], k) {
+				got[Match{Pos: int64(i), Key: ki}]++
+			}
+		}
+	}
+	return got
+}
+
+func TestMatcherAgainstNaiveReference(t *testing.T) {
+	fixed := [][][]byte{
+		{[]byte("aa"), []byte("aab"), []byte("ba")}, // prefix/suffix overlaps
+		{[]byte("ab"), []byte("ab")},                // duplicate key
+		{[]byte("aaa")},                             // self-overlapping
+		{[]byte("abab"), []byte("b")},
+	}
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 500; trial++ {
+		alpha := 2 + rng.Intn(3)
+		randWord := func(n int) []byte {
+			w := make([]byte, n)
+			for i := range w {
+				w[i] = byte('a' + rng.Intn(alpha))
+			}
+			return w
+		}
+		keys := fixed[trial%len(fixed)]
+		if trial >= len(fixed)*20 {
+			keys = make([][]byte, 1+rng.Intn(3))
+			for i := range keys {
+				keys[i] = randWord(1 + rng.Intn(5))
+			}
+		}
+		a, err := Compile(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := a.NewStream()
+		for stream := 0; stream < 2; stream++ {
+			text := randWord(rng.Intn(300))
+			want := naiveMatches(text, keys)
+			total := 0
+			for _, n := range want {
+				total += n
+			}
+			if n := a.Count(text); n != total {
+				t.Fatalf("trial %d keys %q: Count=%d, reference %d", trial, keys, n, total)
+			}
+			if c := a.Contains(text); c != (total > 0) {
+				t.Fatalf("trial %d keys %q: Contains=%v, reference count %d", trial, keys, c, total)
+			}
+
+			// Feed the text in 1..8 random chunks after a Reset to a
+			// non-zero base offset; the multiset must equal the reference.
+			base := int64(rng.Intn(1000))
+			s.Reset(base)
+			cuts := []int{0, len(text)}
+			for c := rng.Intn(8); c > 0; c-- {
+				cuts = append(cuts, rng.Intn(len(text)+1))
+			}
+			sort.Ints(cuts)
+			got := map[Match]int{}
+			for i := 1; i < len(cuts); i++ {
+				s.Feed(text[cuts[i-1]:cuts[i]], func(m Match) {
+					m.Pos -= base
+					got[m]++
+				})
+			}
+			if s.Pos() != base+int64(len(text)) {
+				t.Fatalf("trial %d: Pos=%d, want %d", trial, s.Pos(), base+int64(len(text)))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d keys %q text %q cuts %v:\n got %v\nwant %v", trial, keys, text, cuts, got, want)
+			}
+		}
 	}
 }
